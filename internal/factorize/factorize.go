@@ -73,9 +73,11 @@ func AnalyzeCtx(ctx context.Context, courses []*materials.Course, k int, opts nn
 	var res *nnmf.Result
 	var err error
 	if opts.Algorithm == nnmf.MultiplicativeFrobenius && opts.L1W == 0 && opts.L1H == 0 {
-		// The 0-1 course matrix is sparse; the CSR fast path computes the
-		// identical factorization (same init, same updates) in roughly
-		// half the time. See BenchmarkSparseNNMF.
+		// The 0-1 course matrix is sparse; the CSR path runs the same
+		// init and updates with allocation-free iterations, 3.5-4× the
+		// speed of the dense path on the seed corpus (BenchmarkSparseNNMF).
+		// Its trace-identity residual is not bit-equal to the dense one,
+		// so the two can stop at different iterations; see FactorizeCSR.
 		res, err = nnmf.FactorizeCSRCtx(ctx, matrix.FromDense(a), opts)
 	} else {
 		res, err = nnmf.FactorizeCtx(ctx, a, opts)

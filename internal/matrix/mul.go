@@ -93,12 +93,38 @@ func (m *Dense) mulRows(n, out *Dense, lo, hi int) {
 	}
 }
 
+// MulInto writes m × n into dst, overwriting it: the serial,
+// allocation-free form of Mul for loops that reuse their scratch
+// matrices. dst must be m.rows×n.cols and must not alias m or n. Each
+// entry is summed in the same order as Mul's, so the result is
+// bit-identical.
+func (m *Dense) MulInto(dst, n *Dense) {
+	if m.cols != n.rows || dst.rows != m.rows || dst.cols != n.cols {
+		panic(fmt.Sprintf("matrix: MulInto shape mismatch %dx%d × %dx%d into %dx%d",
+			m.rows, m.cols, n.rows, n.cols, dst.rows, dst.cols))
+	}
+	clear(dst.data)
+	m.mulRows(n, dst, 0, m.rows)
+}
+
 // MulAtB returns mᵀ × n without materializing the transpose.
 func (m *Dense) MulAtB(n *Dense) *Dense {
 	if m.rows != n.rows {
 		panic(fmt.Sprintf("matrix: MulAtB shape mismatch %dx%d vs %dx%d", m.rows, m.cols, n.rows, n.cols))
 	}
 	out := New(m.cols, n.cols)
+	m.MulAtBInto(out, n)
+	return out
+}
+
+// MulAtBInto writes mᵀ × n into dst (m.cols×n.cols), overwriting it.
+// dst must not alias m or n.
+func (m *Dense) MulAtBInto(dst, n *Dense) {
+	if m.rows != n.rows || dst.rows != m.cols || dst.cols != n.cols {
+		panic(fmt.Sprintf("matrix: MulAtBInto shape mismatch %dx%d vs %dx%d into %dx%d",
+			m.rows, m.cols, n.rows, n.cols, dst.rows, dst.cols))
+	}
+	clear(dst.data)
 	for k := 0; k < m.rows; k++ {
 		mk := m.data[k*m.cols : (k+1)*m.cols]
 		nk := n.data[k*n.cols : (k+1)*n.cols]
@@ -106,13 +132,12 @@ func (m *Dense) MulAtB(n *Dense) *Dense {
 			if mki == 0 {
 				continue
 			}
-			oi := out.data[i*out.cols : (i+1)*out.cols]
+			oi := dst.data[i*dst.cols : (i+1)*dst.cols]
 			for j, nkj := range nk {
 				oi[j] += mki * nkj
 			}
 		}
 	}
-	return out
 }
 
 // MulABt returns m × nᵀ without materializing the transpose.
@@ -121,17 +146,37 @@ func (m *Dense) MulABt(n *Dense) *Dense {
 		panic(fmt.Sprintf("matrix: MulABt shape mismatch %dx%d vs %dx%d", m.rows, m.cols, n.rows, n.cols))
 	}
 	out := New(m.rows, n.rows)
+	m.MulABtInto(out, n)
+	return out
+}
+
+// MulABtInto writes m × nᵀ into dst (m.rows×n.rows), overwriting it.
+// dst must not alias m or n. The Gram matrix m × mᵀ (n == m) is
+// symmetric entry for entry — s_ji multiplies the same pairs in the same
+// order as s_ij — so only its upper triangle is computed and mirrored.
+func (m *Dense) MulABtInto(dst, n *Dense) {
+	if m.cols != n.cols || dst.rows != m.rows || dst.cols != n.rows {
+		panic(fmt.Sprintf("matrix: MulABtInto shape mismatch %dx%d vs %dx%d into %dx%d",
+			m.rows, m.cols, n.rows, n.cols, dst.rows, dst.cols))
+	}
+	gram := m == n
 	for i := 0; i < m.rows; i++ {
 		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*out.cols : (i+1)*out.cols]
-		for j := 0; j < n.rows; j++ {
+		oi := dst.data[i*dst.cols : (i+1)*dst.cols]
+		j0 := 0
+		if gram {
+			j0 = i
+		}
+		for j := j0; j < n.rows; j++ {
 			nj := n.data[j*n.cols : (j+1)*n.cols]
 			s := 0.0
 			for k, v := range mi {
 				s += v * nj[k]
 			}
 			oi[j] = s
+			if gram {
+				dst.data[j*dst.cols+i] = s
+			}
 		}
 	}
-	return out
 }

@@ -105,6 +105,66 @@ func TestMulABtShapeMismatch(t *testing.T) {
 	New(2, 3).MulABt(New(3, 2))
 }
 
+func TestIntoKernelsMatchAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	a := Random(9, 4, rng)
+	a.Set(2, 1, 0) // exercise the zero skips
+	b := Random(4, 7, rng)
+	c := Random(9, 7, rng)
+	// Garbage-filled destinations: the kernels must overwrite, and the
+	// sums must match the allocating forms bit for bit.
+	garbage := func(r, cols int) *Dense {
+		d := New(r, cols)
+		for i := range d.data {
+			d.data[i] = float64(i) + 0.5
+		}
+		return d
+	}
+	mul := garbage(9, 7)
+	a.MulInto(mul, b)
+	if !mul.Equal(a.Mul(b)) {
+		t.Error("MulInto differs from Mul")
+	}
+	atb := garbage(4, 7)
+	a.MulAtBInto(atb, c)
+	if !atb.Equal(a.MulAtB(c)) {
+		t.Error("MulAtBInto differs from MulAtB")
+	}
+	abt := garbage(9, 4)
+	c.MulABtInto(abt, b)
+	if !abt.Equal(c.MulABt(b)) {
+		t.Error("MulABtInto differs from MulABt")
+	}
+	// The mirrored Gram path (n == m) must equal the full computation
+	// against an unaliased copy.
+	gram, full := garbage(9, 9), garbage(9, 9)
+	c.MulABtInto(gram, c)
+	c.MulABtInto(full, c.Clone())
+	if !gram.Equal(full) {
+		t.Error("mirrored Gram MulABtInto differs from the full product")
+	}
+}
+
+func TestIntoKernelsShapePanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"MulInto operands":    func() { New(2, 3).MulInto(New(2, 2), New(2, 2)) },
+		"MulInto dst":         func() { New(2, 3).MulInto(New(3, 2), New(3, 2)) },
+		"MulAtBInto operands": func() { New(2, 3).MulAtBInto(New(3, 2), New(3, 2)) },
+		"MulAtBInto dst":      func() { New(2, 3).MulAtBInto(New(2, 2), New(2, 2)) },
+		"MulABtInto operands": func() { New(2, 3).MulABtInto(New(2, 2), New(2, 2)) },
+		"MulABtInto dst":      func() { New(2, 3).MulABtInto(New(2, 3), New(2, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic on shape mismatch", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func BenchmarkMulSerial128(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	x := Random(128, 128, rng)

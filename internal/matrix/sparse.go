@@ -54,26 +54,25 @@ func (c *CSR) ToDense() *Dense {
 	return out
 }
 
-// MulAtB returns Aᵀ × B where A is this sparse matrix and B is dense —
-// the WᵀA-shaped product of the NNMF H update (with the roles of the
-// operands swapped: call as a.MulAtB(w) computes AᵀW). A.rows must equal
-// B.rows.
-func (c *CSR) MulAtB(b *Dense) *Dense {
-	if c.rows != b.Rows() {
-		panic(fmt.Sprintf("matrix: CSR MulAtB shape mismatch %dx%d vs %dx%d", c.rows, c.cols, b.Rows(), b.Cols()))
+// MulBtAInto writes Bᵀ × A into dst (B.cols × A.cols), overwriting it —
+// the WᵀA product of the NNMF H update, accumulated directly in that
+// k × cols layout. A.rows must equal B.rows; dst must not alias b.
+func (c *CSR) MulBtAInto(dst, b *Dense) {
+	if c.rows != b.rows || dst.rows != b.cols || dst.cols != c.cols {
+		panic(fmt.Sprintf("matrix: CSR MulBtAInto shape mismatch %dx%d vs %dx%d into %dx%d",
+			c.rows, c.cols, b.rows, b.cols, dst.rows, dst.cols))
 	}
-	out := New(c.cols, b.Cols())
+	clear(dst.data)
 	for i := 0; i < c.rows; i++ {
-		bi := b.RowView(i)
+		bi := b.data[i*b.cols : (i+1)*b.cols]
 		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
-			row := out.RowView(c.colIdx[p])
+			col := c.colIdx[p]
 			v := c.vals[p]
-			for j, bij := range bi {
-				row[j] += v * bij
+			for t, bit := range bi {
+				dst.data[t*dst.cols+col] += v * bit
 			}
 		}
 	}
-	return out
 }
 
 // Mul returns A × B with A sparse and B dense.
@@ -95,24 +94,25 @@ func (c *CSR) Mul(b *Dense) *Dense {
 	return out
 }
 
-// MulABt returns A × Bᵀ with A sparse and B dense (the AHᵀ-shaped product
-// of the NNMF W update).
-func (c *CSR) MulABt(b *Dense) *Dense {
-	if c.cols != b.Cols() {
-		panic(fmt.Sprintf("matrix: CSR MulABt shape mismatch %dx%d vs %dx%d", c.rows, c.cols, b.Rows(), b.Cols()))
+// MulABtInto writes A × Bᵀ into dst (A.rows × B.rows), overwriting it —
+// the AHᵀ product of the NNMF W update. A.cols must equal B.cols; dst
+// must not alias b.
+func (c *CSR) MulABtInto(dst, b *Dense) {
+	if c.cols != b.cols || dst.rows != c.rows || dst.cols != b.rows {
+		panic(fmt.Sprintf("matrix: CSR MulABtInto shape mismatch %dx%d vs %dx%d into %dx%d",
+			c.rows, c.cols, b.rows, b.cols, dst.rows, dst.cols))
 	}
-	out := New(c.rows, b.Rows())
 	for i := 0; i < c.rows; i++ {
-		oi := out.RowView(i)
+		oi := dst.data[i*dst.cols : (i+1)*dst.cols]
+		clear(oi)
 		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
 			k := c.colIdx[p]
 			v := c.vals[p]
-			for j := 0; j < b.Rows(); j++ {
-				oi[j] += v * b.At(j, k)
+			for j := range oi {
+				oi[j] += v * b.data[j*b.cols+k]
 			}
 		}
 	}
-	return out
 }
 
 // FrobeniusNorm returns the Frobenius norm of the stored entries.
@@ -139,7 +139,7 @@ func (c *CSR) InnerWithProduct(w, h *Dense) float64 {
 			j := c.colIdx[p]
 			dot := 0.0
 			for t := 0; t < k; t++ {
-				dot += wi[t] * h.At(t, j)
+				dot += wi[t] * h.data[t*h.cols+j]
 			}
 			s += c.vals[p] * dot
 		}

@@ -74,13 +74,32 @@ func TestCSRMulMatchesDense(t *testing.T) {
 	}
 }
 
-func TestCSRMulAtBMatchesDense(t *testing.T) {
+// csrMulBtA and csrMulABt wrap the destination-passing CSR kernels in
+// fresh, garbage-filled destinations, so the comparisons below also
+// prove the kernels overwrite rather than accumulate into dst.
+func csrMulBtA(c *CSR, b *Dense) *Dense {
+	dst := New(b.Cols(), c.cols)
+	dst.data[0] = 99
+	c.MulBtAInto(dst, b)
+	return dst
+}
+
+func csrMulABt(c *CSR, b *Dense) *Dense {
+	dst := New(c.rows, b.Rows())
+	dst.data[0] = 99
+	c.MulABtInto(dst, b)
+	return dst
+}
+
+func TestCSRMulBtAMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randomSparse01(11, 23, 0.2, 7)
 	c := FromDense(a)
 	w := Random(11, 4, rng)
-	if !c.MulAtB(w).EqualTol(a.MulAtB(w), 1e-10) {
-		t.Fatal("CSR MulAtB differs from dense")
+	// Bit-identical to the transpose of the dense AᵀW: each entry sums
+	// the same products in the same row order.
+	if !csrMulBtA(c, w).Equal(a.MulAtB(w).T()) {
+		t.Fatal("CSR MulBtAInto differs from dense (AᵀW)ᵀ")
 	}
 }
 
@@ -89,8 +108,8 @@ func TestCSRMulABtMatchesDense(t *testing.T) {
 	a := randomSparse01(11, 23, 0.2, 9)
 	c := FromDense(a)
 	h := Random(4, 23, rng)
-	if !c.MulABt(h).EqualTol(a.MulABt(h), 1e-10) {
-		t.Fatal("CSR MulABt differs from dense")
+	if !csrMulABt(c, h).EqualTol(a.MulABt(h), 1e-10) {
+		t.Fatal("CSR MulABtInto differs from dense")
 	}
 }
 
@@ -111,8 +130,10 @@ func TestCSRShapePanics(t *testing.T) {
 	a := FromDense(randomSparse01(3, 4, 0.5, 12))
 	for name, f := range map[string]func(){
 		"Mul":              func() { a.Mul(New(3, 2)) },
-		"MulAtB":           func() { a.MulAtB(New(4, 2)) },
-		"MulABt":           func() { a.MulABt(New(2, 3)) },
+		"MulBtAInto":       func() { a.MulBtAInto(New(2, 4), New(4, 2)) },
+		"MulBtAInto dst":   func() { a.MulBtAInto(New(2, 3), New(3, 2)) },
+		"MulABtInto":       func() { a.MulABtInto(New(3, 2), New(2, 3)) },
+		"MulABtInto dst":   func() { a.MulABtInto(New(2, 2), New(2, 4)) },
 		"InnerWithProduct": func() { a.InnerWithProduct(New(3, 2), New(3, 4)) },
 	} {
 		func() {
@@ -137,8 +158,8 @@ func TestPropCSREquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 1))
 		w := Random(rows, k, rng)
 		h := Random(k, cols, rng)
-		return c.MulAtB(w).EqualTol(a.MulAtB(w), 1e-9) &&
-			c.MulABt(h).EqualTol(a.MulABt(h), 1e-9) &&
+		return csrMulBtA(c, w).EqualTol(a.MulAtB(w).T(), 1e-9) &&
+			csrMulABt(c, h).EqualTol(a.MulABt(h), 1e-9) &&
 			almostEqual(c.InnerWithProduct(w, h), a.MulElem(w.Mul(h)).Sum(), 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -200,24 +200,24 @@ func FactorizeCtx(ctx context.Context, a *matrix.Dense, opts Options) (*Result, 
 	if normA == 0 {
 		return nil, fmt.Errorf("nnmf: input matrix is all zeros")
 	}
+	step := func(w, h *matrix.Dense) (*matrix.Dense, *matrix.Dense) {
+		switch opts.Algorithm {
+		case MultiplicativeKL:
+			return stepKL(a, w, h, opts.Eps)
+		case HALS:
+			return stepHALS(a, w, h, opts.Eps, opts.L1W, opts.L1H)
+		default:
+			return stepFrobenius(a, w, h, opts.Eps)
+		}
+	}
+	score := func(w, h *matrix.Dense) float64 { return RelativeError(a, w, h, normA) }
 
 	if opts.InitW != nil || opts.InitH != nil {
 		w, h, exact, err := warmSeeds(opts, rows, cols, a.Mean())
 		if err != nil {
 			return nil, err
 		}
-		return runWarm(ctx, opts, exact, w, h,
-			func(w, h *matrix.Dense) (*matrix.Dense, *matrix.Dense) {
-				switch opts.Algorithm {
-				case MultiplicativeKL:
-					return stepKL(a, w, h, opts.Eps)
-				case HALS:
-					return stepHALS(a, w, h, opts.Eps, opts.L1W, opts.L1H)
-				default:
-					return stepFrobenius(a, w, h, opts.Eps)
-				}
-			},
-			func(w, h *matrix.Dense) float64 { return RelativeError(a, w, h, normA) })
+		return runWarm(ctx, opts, exact, w, h, step, score)
 	}
 
 	restarts := opts.Restarts
@@ -228,7 +228,7 @@ func FactorizeCtx(ctx context.Context, a *matrix.Dense, opts Options) (*Result, 
 	total := 0
 	for r := 0; r < restarts; r++ {
 		w, h := initialize(a, opts, opts.Seed+int64(r))
-		res, err := run(ctx, a, w, h, opts, normA)
+		res, err := iterate(ctx, opts, w, h, step, score)
 		if err != nil {
 			return nil, err
 		}
@@ -258,23 +258,23 @@ func initialize(a *matrix.Dense, opts Options, seed int64) (w, h *matrix.Dense) 
 	}
 }
 
-func run(ctx context.Context, a, w, h *matrix.Dense, opts Options, normA float64) (*Result, error) {
-	res := &Result{}
+// iterate runs one restart from (w, h): step applies an update round
+// (returning the new factors, possibly w and h themselves updated in
+// place) and score the relative error after it, until the improvement
+// stalls or MaxIter is reached.
+func iterate(ctx context.Context, opts Options, w, h *matrix.Dense,
+	step func(w, h *matrix.Dense) (*matrix.Dense, *matrix.Dense),
+	score func(w, h *matrix.Dense) float64) (*Result, error) {
+
+	res := &Result{Residuals: make([]float64, 0, opts.MaxIter)}
 	prev := math.Inf(1)
 	init := 0.0
 	for it := 0; it < opts.MaxIter; it++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		switch opts.Algorithm {
-		case MultiplicativeKL:
-			w, h = stepKL(a, w, h, opts.Eps)
-		case HALS:
-			w, h = stepHALS(a, w, h, opts.Eps, opts.L1W, opts.L1H)
-		default:
-			w, h = stepFrobenius(a, w, h, opts.Eps)
-		}
-		err := RelativeError(a, w, h, normA)
+		w, h = step(w, h)
+		err := score(w, h)
 		res.Residuals = append(res.Residuals, err)
 		res.Iterations = it + 1
 		if it == 0 {
@@ -368,14 +368,18 @@ func reconcileFactors(initW, initH *matrix.Dense, rows, cols, k int, fill float6
 // Otherwise iteration continues with the seed error as the convergence
 // baseline, typically finishing in a handful of iterations near a
 // fixed point. Residuals[0] is the seed error, before any update.
+//
+// step only ever sees copies of the seeds, so it may update its
+// arguments in place without disturbing the retained result.
 func runWarm(ctx context.Context, opts Options, exact bool, w, h *matrix.Dense,
 	step func(w, h *matrix.Dense) (*matrix.Dense, *matrix.Dense),
 	score func(w, h *matrix.Dense) float64) (*Result, error) {
 
-	res := &Result{}
+	res := &Result{Residuals: make([]float64, 0, opts.MaxIter+1)}
 	seedW, seedH := w, h
 	seedErr := score(w, h)
 	res.Residuals = append(res.Residuals, seedErr)
+	w, h = w.Clone(), h.Clone()
 	prev := seedErr
 	for it := 0; it < opts.MaxIter; it++ {
 		if err := ctx.Err(); err != nil {
@@ -411,8 +415,35 @@ func runWarm(ctx context.Context, opts Options, exact bool, w, h *matrix.Dense,
 
 // RelativeError returns ‖A − W·H‖_F / normA. Pass a.FrobeniusNorm() (or
 // any positive normalizer) as normA.
+//
+// W·H is formed one row at a time in a single buffer, with Mul's i-k-j
+// order and zero skips, and each row's squared differences join the
+// row-major sum at once — bit-identical to
+// a.Sub(w.Mul(h)).FrobeniusNorm()/normA without either matrix.
 func RelativeError(a, w, h *matrix.Dense, normA float64) float64 {
-	return a.Sub(w.Mul(h)).FrobeniusNorm() / normA
+	rows, cols := a.Dims()
+	if w.Rows() != rows || h.Cols() != cols || w.Cols() != h.Rows() {
+		panic(fmt.Sprintf("nnmf: RelativeError shape mismatch A %dx%d, W %dx%d, H %dx%d",
+			rows, cols, w.Rows(), w.Cols(), h.Rows(), h.Cols()))
+	}
+	wh := make([]float64, cols)
+	s := 0.0
+	for i := 0; i < rows; i++ {
+		clear(wh)
+		for t, wit := range w.RowView(i) {
+			if wit == 0 {
+				continue
+			}
+			for j, htj := range h.RowView(t) {
+				wh[j] += wit * htj
+			}
+		}
+		for j, aij := range a.RowView(i) {
+			d := aij - wh[j]
+			s += d * d
+		}
+	}
+	return math.Sqrt(s) / normA
 }
 
 // stepFrobenius applies one round of Lee-Seung multiplicative updates for

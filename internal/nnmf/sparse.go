@@ -12,9 +12,22 @@ import (
 // FactorizeCSR computes an NNMF of a sparse non-negative matrix using
 // multiplicative Frobenius updates whose A-products skip zeros — the
 // right representation for course × curriculum matrices, which are 0-1
-// with well under 20% density. It matches Factorize with
-// MultiplicativeFrobenius on the dense expansion of a, at a fraction of
-// the per-iteration cost (see BenchmarkSparseNNMF).
+// with well under 20% density. It is the kernel the API serves
+// (factorize.Analyze routes every multiplicative-Frobenius analysis
+// here).
+//
+// On 0-1 inputs it shares Factorize's initialization and update rules,
+// so for a given iteration both produce the same factors up to
+// floating-point summation order. It is not bit-equal to Factorize on the dense
+// expansion of a: the residual is computed through the trace identity
+// ‖A‖² − 2⟨A,WH⟩ + tr(WᵀW·HHᵀ) rather than from A − WH directly, and the
+// last-bit differences in the tolerance check can stop the two paths at
+// different iterations. What is exact is FactorizeCSR against itself:
+// its factors, residual trace, iteration counts and winning restart are
+// locked bit for bit by testdata/csr_golden.txt.
+//
+// One workspace of scratch products is allocated per call and reused by
+// every restart and iteration; the iteration loop allocates nothing.
 //
 // Only the Frobenius multiplicative algorithm is implemented sparsely;
 // Options.Algorithm is ignored.
@@ -41,17 +54,15 @@ func FactorizeCSRCtx(ctx context.Context, a *matrix.CSR, opts Options) (*Result,
 		return nil, fmt.Errorf("nnmf: input matrix is all zeros")
 	}
 	mean := normA * normA / float64(rows*cols) // mean of A for 0-1 matrices equals density; use ‖A‖²/(r·c) which matches for 0-1 entries
+	ws := newCSRWorkspace(a, opts.K, normA, opts.Eps)
 
 	if opts.InitW != nil || opts.InitH != nil {
 		w, h, exact, err := warmSeeds(opts, rows, cols, mean)
 		if err != nil {
 			return nil, err
 		}
-		return runWarm(ctx, opts, exact, w, h,
-			func(w, h *matrix.Dense) (*matrix.Dense, *matrix.Dense) {
-				return stepFrobeniusSparse(a, w, h, opts.Eps)
-			},
-			func(w, h *matrix.Dense) float64 { return sparseRelativeError(a, w, h, normA) })
+		ws.begin(w, h)
+		return runWarm(ctx, opts, exact, w, h, ws.step, ws.residual)
 	}
 
 	restarts := opts.Restarts
@@ -67,7 +78,11 @@ func FactorizeCSRCtx(ctx context.Context, a *matrix.CSR, opts Options) (*Result,
 		} else {
 			w, h = randomInit(rows, cols, opts.K, mean, opts.Seed+int64(r))
 		}
-		res, err := runSparse(ctx, a, w, h, opts, normA)
+		// Each restart owns its freshly initialized factors and updates
+		// them in place; only the scratch products are shared, so the
+		// best result never aliases the workspace.
+		ws.begin(w, h)
+		res, err := iterate(ctx, opts, w, h, ws.step, ws.residual)
 		if err != nil {
 			return nil, err
 		}
@@ -91,61 +106,84 @@ func randomInit(rows, cols, k int, mean float64, seed int64) (*matrix.Dense, *ma
 	return w, h
 }
 
-func runSparse(ctx context.Context, a *matrix.CSR, w, h *matrix.Dense, opts Options, normA float64) (*Result, error) {
-	res := &Result{}
-	prev := math.Inf(1)
-	init := 0.0
-	for it := 0; it < opts.MaxIter; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		w, h = stepFrobeniusSparse(a, w, h, opts.Eps)
-		err := sparseRelativeError(a, w, h, normA)
-		res.Residuals = append(res.Residuals, err)
-		res.Iterations = it + 1
-		if it == 0 {
-			init = err
-		} else if prev-err <= opts.Tol*init {
-			res.Converged = true
-			break
-		}
-		prev = err
-	}
-	res.W, res.H = w, h
-	res.Err = res.Residuals[len(res.Residuals)-1]
-	return res, nil
+// csrWorkspace holds the scratch products of the sparse Frobenius
+// update, sized once per FactorizeCSRCtx call and overwritten by every
+// iteration of every restart. W and H are not part of it: each run owns
+// its factors and the workspace updates them in place.
+type csrWorkspace struct {
+	a          *matrix.CSR
+	normA, eps float64
+	wtA, wtWH  *matrix.Dense // k × cols
+	aHt, wHHt  *matrix.Dense // rows × k
+	// wtw is WᵀW of the current W and hht is HHᵀ of the current H; the
+	// residual's WᵀW doubles as the next step's.
+	wtw, hht *matrix.Dense // k × k
 }
 
-// stepFrobeniusSparse is stepFrobenius with the two A-products computed
-// through the CSR structure.
-func stepFrobeniusSparse(a *matrix.CSR, w, h *matrix.Dense, eps float64) (*matrix.Dense, *matrix.Dense) {
-	wtA := a.MulAtB(w).T() // (AᵀW)ᵀ = WᵀA, k × cols
-	wtWH := w.MulAtB(w).Mul(h)
-	h = h.MulElem(wtA.DivElem(wtWH, eps))
+func newCSRWorkspace(a *matrix.CSR, k int, normA, eps float64) *csrWorkspace {
+	rows, cols := a.Dims()
+	return &csrWorkspace{
+		a: a, normA: normA, eps: eps,
+		wtA: matrix.New(k, cols), wtWH: matrix.New(k, cols),
+		aHt: matrix.New(rows, k), wHHt: matrix.New(rows, k),
+		wtw: matrix.New(k, k), hht: matrix.New(k, k),
+	}
+}
 
-	aHt := a.MulABt(h) // rows × k
-	wHHt := w.Mul(h.MulABt(h))
-	w = w.MulElem(aHt.DivElem(wHHt, eps))
+// begin primes the Gram matrices for a run starting from (w, h).
+func (ws *csrWorkspace) begin(w, h *matrix.Dense) {
+	w.MulAtBInto(ws.wtw, w)
+	h.MulABtInto(ws.hht, h)
+}
+
+// step applies stepFrobenius's update round to w and h in place, with
+// the two A-products computed through the CSR structure:
+//
+//	H ← H ⊙ (WᵀA) ⊘ (WᵀWH)
+//	W ← W ⊙ (AHᵀ) ⊘ (WHHᵀ)
+//
+// It reads WᵀW of the incoming w from the workspace and leaves HHᵀ of
+// the updated h there for residual.
+func (ws *csrWorkspace) step(w, h *matrix.Dense) (*matrix.Dense, *matrix.Dense) {
+	ws.a.MulBtAInto(ws.wtA, w)
+	ws.wtw.MulInto(ws.wtWH, h)
+	multiplicativeUpdate(h, ws.wtA, ws.wtWH, ws.eps)
+
+	ws.a.MulABtInto(ws.aHt, h)
+	h.MulABtInto(ws.hht, h)
+	w.MulInto(ws.wHHt, ws.hht)
+	multiplicativeUpdate(w, ws.aHt, ws.wHHt, ws.eps)
 	return w, h
 }
 
-// sparseRelativeError computes ‖A − WH‖_F / normA without materializing
-// WH: ‖A−WH‖² = ‖A‖² − 2·⟨A, WH⟩ + tr((WᵀW)(HHᵀ)). The inner product
-// touches only the non-zeros of A; the trace term is k×k.
-func sparseRelativeError(a *matrix.CSR, w, h *matrix.Dense, normA float64) float64 {
-	dot := a.InnerWithProduct(w, h)
-	wtw := w.MulAtB(w)
-	hht := h.MulABt(h)
-	k := wtw.Rows()
+// residual computes ‖A − WH‖_F / ‖A‖_F without materializing WH:
+// ‖A−WH‖² = ‖A‖² − 2·⟨A, WH⟩ + tr((WᵀW)(HHᵀ)). The inner product
+// touches only the non-zeros of A; the trace term is k×k, from the
+// workspace's HHᵀ (set by begin or step for this h) and a freshly
+// computed WᵀW of w, which the next step reuses.
+func (ws *csrWorkspace) residual(w, h *matrix.Dense) float64 {
+	dot := ws.a.InnerWithProduct(w, h)
+	w.MulAtBInto(ws.wtw, w)
 	trace := 0.0
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			trace += wtw.At(i, j) * hht.At(i, j) // both symmetric
+	for i := 0; i < ws.wtw.Rows(); i++ {
+		hi := ws.hht.RowView(i)
+		for j, v := range ws.wtw.RowView(i) {
+			trace += v * hi[j] // both symmetric
 		}
 	}
-	errSq := normA*normA - 2*dot + trace
+	errSq := ws.normA*ws.normA - 2*dot + trace
 	if errSq < 0 {
 		errSq = 0
 	}
-	return math.Sqrt(errSq) / normA
+	return math.Sqrt(errSq) / ws.normA
+}
+
+// multiplicativeUpdate applies f ← f ⊙ num ⊘ (den + eps) in place.
+func multiplicativeUpdate(f, num, den *matrix.Dense, eps float64) {
+	for i := 0; i < f.Rows(); i++ {
+		fi, ni, di := f.RowView(i), num.RowView(i), den.RowView(i)
+		for j := range fi {
+			fi[j] *= ni[j] / (di[j] + eps)
+		}
+	}
 }
