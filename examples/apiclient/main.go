@@ -25,7 +25,6 @@ import (
 
 	"csmaterials/internal/resilience/faultinject"
 	"csmaterials/internal/server"
-	"csmaterials/internal/serving"
 )
 
 // client retries transient failures: 429 (shed) and 503 (circuit open
@@ -286,7 +285,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var snap serving.Snapshot
+	var snap server.DebugMetrics
 	err = json.NewDecoder(resp.Body).Decode(&snap)
 	_ = resp.Body.Close()
 	if err != nil {
@@ -296,14 +295,10 @@ func main() {
 	for route, rs := range snap.Routes {
 		fmt.Printf("  %-32s count=%d p99=%.1fms\n", route, rs.Count, rs.P99MS)
 	}
-	if snap.Cache != nil {
-		fmt.Printf("  cache: hits=%d misses=%d size=%d/%d stale_served=%d\n",
-			snap.Cache.Hits, snap.Cache.Misses, snap.Cache.Size, snap.Cache.Capacity, snap.Cache.StaleServed)
-	}
-	if snap.Resilience != nil {
-		fmt.Printf("  shedder: admitted=%d shed=%d\n", snap.Resilience.Shedder.Admitted, snap.Resilience.Shedder.Shed)
-		for name, b := range snap.Resilience.Breakers {
-			fmt.Printf("  breaker %-12s state=%s failures=%d\n", name, b.State, b.Failures)
-		}
+	fmt.Printf("  cache: hits=%d misses=%d size=%d/%d stale_served=%d\n",
+		snap.Cache.Hits, snap.Cache.Misses, snap.Cache.Size, snap.Cache.Capacity, snap.Cache.StaleServed)
+	fmt.Printf("  shedder: admitted=%d shed=%d\n", snap.Resilience.Shedder.Admitted, snap.Resilience.Shedder.Shed)
+	for name, b := range snap.Resilience.Breakers {
+		fmt.Printf("  breaker %-12s state=%s failures=%d\n", name, b.State, b.Failures)
 	}
 }

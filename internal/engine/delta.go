@@ -128,13 +128,14 @@ func (o DeltaOutcome) Invalidated() int { return o.InvalidatedFresh + o.Invalida
 // ApplyDelta reconciles the serving layer with a freshly applied
 // dataset revision. When the snapshot carries a Delta (it came from
 // Registry.Apply), the refresh is delta-driven: every cached entry of
-// the dataset's previous revisions is classified by its analysis —
-// provably unaffected results are MIGRATED to the new revision's keys
-// (keeping their LRU positions; no recompute, no cold cache), affected
-// results are dropped, and dropped values of warm-startable analyses
-// are retained as warm-start priors for the recompute that will
-// replace them. Snapshots without a delta (full PUT re-ingest,
-// LoadDir) degrade to RefreshFull. No-op in single-repo mode.
+// the delta's base revision is classified by its analysis — provably
+// unaffected results are MIGRATED to the new revision's keys (keeping
+// their LRU positions; no recompute, no cold cache), affected results
+// are dropped, and dropped values of warm-startable analyses are
+// retained as warm-start priors for the recompute that will replace
+// them. Entries of older revisions are dropped. Snapshots without a
+// delta (full PUT re-ingest, LoadDir) degrade to RefreshFull. No-op in
+// single-repo mode.
 func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snapshot) DeltaOutcome {
 	if e.datasets == nil || e.cache == nil {
 		return DeltaOutcome{}
@@ -146,11 +147,19 @@ func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snap
 	start := obs.Now(ctx)
 	prefix := ds + "@"
 	newPrefix := fmt.Sprintf("%s@%d|", ds, snap.Revision())
+	// d describes only the change from the revision Registry.Apply
+	// derived from; entries of any older revision (a compute that
+	// resolved it and stored after a later PATCH) miss earlier deltas,
+	// so they are dropped and seed nothing.
+	basePrefix := fmt.Sprintf("%s@%d|", ds, snap.Revision()-1)
 	e.dropPriors(ds)
 
 	sum, dropped := e.cache.Rekey(func(key string) string {
 		if !strings.HasPrefix(key, prefix) || strings.HasPrefix(key, newPrefix) {
 			return key
+		}
+		if !strings.HasPrefix(key, basePrefix) {
+			return ""
 		}
 		name, paramKey, ok := splitPhysical(key)
 		if !ok {
@@ -175,6 +184,9 @@ func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snap
 	// recompute will use. The fresh store is swept before the stale one,
 	// so a fresh value wins when both copies were dropped.
 	for _, de := range dropped {
+		if !strings.HasPrefix(de.Key, basePrefix) {
+			continue
+		}
 		name, paramKey, ok := splitPhysical(de.Key)
 		if !ok {
 			continue

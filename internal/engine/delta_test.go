@@ -275,3 +275,100 @@ func mustJSON(t *testing.T, v interface{}) string {
 	}
 	return string(b)
 }
+
+// TestApplyDeltaDropsOlderRevisionKeys pins the revision check of a
+// delta refresh: a delta r→r+1 describes only the change from revision
+// r, so an entry cached under an older revision (here: a revision-1
+// compute whose store landed after the PATCH to revision 2) must be
+// dropped, neither migrated to r+1 nor kept as a warm-start prior.
+// Carrying it forward would serve revision 1's answer without revision
+// 2's change.
+func TestApplyDeltaDropsOlderRevisionKeys(t *testing.T) {
+	reg, err := analyses.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	datasets := dataset.NewRegistry(nil)
+	cache := serving.NewCache(64)
+	exec := engine.NewExecutor(reg, engine.ExecutorOptions{Datasets: datasets, Cache: cache})
+	base := datasets.Default()
+	touched := cs1OnlyCourse(t, base)
+	var other *materials.Course
+	for _, c := range base.Repo().Courses() {
+		if c.ID != touched.ID {
+			other = c
+			break
+		}
+	}
+	var newTag string
+	have := touched.TagSet()
+	for _, c := range base.Repo().Courses() {
+		for tag := range c.TagSet() {
+			if !have[tag] && (newTag == "" || tag < newTag) {
+				newTag = tag
+			}
+		}
+	}
+
+	// Revision 1 answers: the audit of the touched course (unaffected by
+	// the second delta, so a stale copy would be migrated) and
+	// agreement over every group (affected, so a stale copy would seed
+	// a warm rebase).
+	auditQ := url.Values{"course": {touched.ID}}
+	agreementQ := url.Values{"group": {"all"}}
+	rev1Audit, auditOut := mustRunOn(t, exec, "audit", auditQ)
+	rev1Agreement, agreementOut := mustRunOn(t, exec, "agreement", agreementQ)
+
+	// Revision 2 changes the touched course's tag set.
+	snap2, err := datasets.Apply(dataset.DefaultID, []dataset.Event{{
+		Op: dataset.OpRetag, Course: touched.ID,
+		MaterialID: touched.Materials[0].ID, Tags: []string{newTag},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec.ApplyDelta(context.Background(), dataset.DefaultID, snap2)
+
+	// Late stores of the revision-1 computes.
+	for key, val := range map[string]interface{}{
+		"default@1|" + auditOut.Key:     rev1Audit,
+		"default@1|" + agreementOut.Key: rev1Agreement,
+	} {
+		val := val
+		if _, _, err := cache.Do(key, func() (interface{}, error) { return val, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Revision 3 touches only another course.
+	snap3, err := datasets.Apply(dataset.DefaultID, sameTagsRetag(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := exec.ApplyDelta(context.Background(), dataset.DefaultID, snap3)
+	if out.Migrated != 0 || out.Seeded != 0 {
+		t.Errorf("revision-1 entries carried into revision 3: migrated %d, seeded %d; want 0, 0", out.Migrated, out.Seeded)
+	}
+	if out.InvalidatedFresh != 2 {
+		t.Errorf("invalidated fresh = %d, want 2 (both revision-1 entries)", out.InvalidatedFresh)
+	}
+
+	coldExec := engine.NewExecutor(reg, engine.ExecutorOptions{Datasets: datasets, Cache: serving.NewCache(64)})
+	for _, c := range []struct {
+		name string
+		q    url.Values
+		rev1 interface{}
+	}{{"audit", auditQ, rev1Audit}, {"agreement", agreementQ, rev1Agreement}} {
+		got, o := mustRunOn(t, exec, c.name, c.q)
+		if o.Cache != "miss" || o.Revision != snap3.Revision() {
+			t.Errorf("%s after delta = %q@rev%d, want miss@rev%d", c.name, o.Cache, o.Revision, snap3.Revision())
+		}
+		cold, _ := mustRunOn(t, coldExec, c.name, c.q)
+		if mustJSON(t, cold) == mustJSON(t, c.rev1) {
+			t.Fatalf("%s: revision 2 did not change the answer; the check would prove nothing", c.name)
+		}
+		if mustJSON(t, got) != mustJSON(t, cold) {
+			t.Errorf("%s at revision 3 differs from a cold recompute", c.name)
+		}
+	}
+}

@@ -335,12 +335,6 @@ func (e *Executor) FleetKeyOn(ds, name string, values url.Values) (string, error
 	return ds + "|" + Key(a, p), nil
 }
 
-// RunParams executes a with validated params against the default
-// dataset through the full ladder.
-func (e *Executor) RunParams(ctx context.Context, a Analysis, p Params) (interface{}, Outcome, error) {
-	return e.RunParamsOn(ctx, dataset.DefaultID, a, p)
-}
-
 // RunParamsOn executes a with validated params against dataset ds
 // through the full ladder.
 //

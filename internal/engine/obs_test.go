@@ -111,14 +111,13 @@ func TestTraceComputeErrorAndStaleSpans(t *testing.T) {
 	}
 
 	// The stage histograms saw every labelled stage.
-	stages := tracer.StageSnapshot()
 	byStage := map[string]uint64{}
-	for _, s := range stages {
-		if s.Analysis != "types" {
-			t.Fatalf("unexpected analysis label %q", s.Analysis)
+	tracer.EachStage(func(_, analysis, stage string, h *obs.LatencyHistogram) {
+		if analysis != "types" {
+			t.Fatalf("unexpected analysis label %q", analysis)
 		}
-		byStage[s.Stage] = s.Count
-	}
+		byStage[stage] = h.Count()
+	})
 	for _, stage := range []string{"parse", "cache-miss", "compute", "compute-error", "stale-serve", "store"} {
 		if byStage[stage] == 0 {
 			t.Fatalf("stage %q missing from aggregates: %v", stage, byStage)

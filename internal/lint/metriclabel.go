@@ -497,8 +497,8 @@ func (mc *metricCtx) samplesAppend(fn *ast.FuncDecl, famVars map[types.Object]st
 
 // sampleLabels resolves one appended/declared sample expression to its
 // label-key set. Handles obs.Sample literals and
-// obs.HistogramSamples(...) spreads (the explicit labels, before the
-// implicit le).
+// (*obs.LatencyHistogram).Samples(...) spreads (the explicit labels,
+// before the implicit le).
 func (mc *metricCtx) sampleLabels(fn *ast.FuncDecl, e ast.Expr) ([]string, bool) {
 	e = ast.Unparen(e)
 	switch x := e.(type) {
@@ -517,11 +517,10 @@ func (mc *metricCtx) sampleLabels(fn *ast.FuncDecl, e ast.Expr) ([]string, bool)
 		}
 		return nil, true // sample without labels: empty key set
 	case *ast.CallExpr:
-		// obs.HistogramSamples(labels, ...) — shared labels are arg 0.
-		if f, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && f.Sel.Name == "HistogramSamples" {
-			if len(x.Args) > 0 {
-				return mc.labelListKeys(fn, x.Args[0], 0)
-			}
+		// h.Samples(labels) on an obs.LatencyHistogram.
+		if f, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && f.Sel.Name == "Samples" &&
+			mc.isObsType(mc.pkg.Info.TypeOf(f.X), "LatencyHistogram") && len(x.Args) == 1 {
+			return mc.labelListKeys(fn, x.Args[0], 0)
 		}
 	}
 	return nil, false

@@ -121,10 +121,17 @@ func viaScope(names []string) obs.Family {
 }
 
 // histo emits histogram samples; the shared labels resolve through the
-// obs.HistogramSamples spread: legal.
-func histo(bounds []float64, counts []uint64) obs.Family {
+// LatencyHistogram.Samples spread: legal.
+func histo(h *obs.LatencyHistogram) obs.Family {
 	f := obs.Family{Name: "csm_fixture_latency_seconds", Help: "h", Type: obs.Histogram}
-	f.Samples = append(f.Samples, obs.HistogramSamples(
-		[]obs.Label{{Name: "route", Value: "/x"}}, bounds, counts, 1, 2)...)
+	f.Samples = append(f.Samples, h.Samples([]obs.Label{{Name: "route", Value: "/x"}})...)
+	return f
+}
+
+// histoForked spreads the same histogram family with another label
+// set: flagged.
+func histoForked(h *obs.LatencyHistogram) obs.Family {
+	f := obs.Family{Name: "csm_fixture_latency_seconds", Help: "h", Type: obs.Histogram}
+	f.Samples = append(f.Samples, h.Samples([]obs.Label{{Name: "stage", Value: "x"}})...)
 	return f
 }

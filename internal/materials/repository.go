@@ -47,16 +47,6 @@ func (r *Repository) KnownTag(id string) bool {
 	return false
 }
 
-// LookupTag returns the guideline node for id, searching all guidelines.
-func (r *Repository) LookupTag(id string) *ontology.Node {
-	for _, g := range r.guidelines {
-		if n := g.Lookup(id); n != nil {
-			return n
-		}
-	}
-	return nil
-}
-
 // AddCourse validates and stores a course. Every material tag must exist
 // in one of the repository's guidelines; material IDs must be globally
 // unique.

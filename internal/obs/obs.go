@@ -29,8 +29,11 @@
 //
 // Finished traces land in the Tracer's fixed-size ring buffer,
 // queryable by ID (the X-Trace response header), and their spans are
-// folded into per-(analysis, stage) latency histograms exported in
-// Prometheus exposition format. DESIGN §10 documents the contract.
+// folded into per-(dataset, analysis, stage) latency histograms
+// exported in Prometheus exposition format. LatencyHistogram is the one
+// histogram type of the metrics surfaces: the stage histograms and the
+// serving layer's per-route latency both use it. DESIGN §10 documents
+// the contract.
 package obs
 
 import (

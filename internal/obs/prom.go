@@ -103,9 +103,6 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// FormatBound renders a histogram upper bound as a le= label value.
-func FormatBound(bound float64) string { return formatValue(bound) }
-
 func escapeLabel(v string) string {
 	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 	return r.Replace(v)
@@ -144,28 +141,4 @@ func ValidateExposition(body string) error {
 		}
 	}
 	return nil
-}
-
-// HistogramSamples builds the _bucket/_sum/_count sample series of one
-// histogram from per-bucket (non-cumulative) counts. bounds are the
-// finite upper bounds; counts must have len(bounds)+1 entries, the
-// last being the +Inf overflow bucket. The shared labels appear before
-// the le label on every _bucket line.
-func HistogramSamples(labels []Label, bounds []float64, counts []uint64, sum float64, count uint64) []Sample {
-	out := make([]Sample, 0, len(counts)+2)
-	var cum uint64
-	for i, n := range counts {
-		cum += n
-		bound := math.Inf(+1)
-		if i < len(bounds) {
-			bound = bounds[i]
-		}
-		le := append(append([]Label{}, labels...), Label{Name: "le", Value: FormatBound(bound)})
-		out = append(out, Sample{Suffix: "_bucket", Labels: le, Value: float64(cum)})
-	}
-	out = append(out,
-		Sample{Suffix: "_sum", Labels: labels, Value: sum},
-		Sample{Suffix: "_count", Labels: labels, Value: float64(count)},
-	)
-	return out
 }

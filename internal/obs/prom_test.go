@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestWriteExpositionGolden(t *testing.T) {
@@ -22,9 +23,9 @@ func TestWriteExpositionGolden(t *testing.T) {
 		{Name: "csm_empty", Help: "Skipped entirely.", Type: Counter},
 		{
 			Name: "csm_stage_duration_seconds", Help: "Stage latency.", Type: Histogram,
-			Samples: HistogramSamples(
-				[]Label{{"analysis", "types"}, {"stage", "compute"}},
-				[]float64{0.001, 0.01}, []uint64{2, 1, 1}, 0.0145, 4),
+			Samples: latencyHistogram([]float64{0.001, 0.01},
+				11*time.Millisecond, 2500*time.Microsecond, 500*time.Microsecond, 500*time.Microsecond,
+			).Samples([]Label{{"analysis", "types"}, {"stage", "compute"}}),
 		},
 		{
 			Name: "csm_escapes", Help: `Help with \ backslash and "quotes".`, Type: Gauge,

@@ -150,9 +150,9 @@ func TestOpenSpanMarkedInRecord(t *testing.T) {
 		t.Fatalf("open span not marked: %+v", rec.Spans)
 	}
 	// Open spans are excluded from the stage histograms.
-	if stages := tr.StageSnapshot(); len(stages) != 0 {
-		t.Fatalf("open span was aggregated: %+v", stages)
-	}
+	tr.EachStage(func(dataset, analysis, stage string, _ *LatencyHistogram) {
+		t.Fatalf("open span was aggregated: (%q, %q, %q)", dataset, analysis, stage)
+	})
 }
 
 func TestStageAggregation(t *testing.T) {
@@ -164,22 +164,26 @@ func TestStageAggregation(t *testing.T) {
 		StartSpan(ctx, "compute").End()
 		tr.Finish(trace)
 	}
-	stages := tr.StageSnapshot()
-	if len(stages) != 1 {
-		t.Fatalf("got %d stage series, want 1: %+v", len(stages), stages)
-	}
-	s := stages[0]
-	if s.Analysis != "types" || s.Stage != "compute" || s.Count != 3 {
-		t.Fatalf("unexpected series: %+v", s)
-	}
-	if len(s.Buckets) != len(StageBucketsSeconds)+1 {
-		t.Fatalf("bucket count = %d, want %d", len(s.Buckets), len(StageBucketsSeconds)+1)
-	}
-	var total uint64
-	for _, n := range s.Buckets {
-		total += n
-	}
-	if total != 3 {
-		t.Fatalf("bucket total = %d, want 3", total)
+	series := 0
+	tr.EachStage(func(dataset, analysis, stage string, h *LatencyHistogram) {
+		series++
+		if analysis != "types" || stage != "compute" || h.Count() != 3 {
+			t.Fatalf("unexpected series: (%q, %q) count %d", analysis, stage, h.Count())
+		}
+		buckets := 0
+		var total uint64
+		h.Buckets(func(_ float64, n uint64) {
+			buckets++
+			total += n
+		})
+		if buckets != len(StageBucketsSeconds)+1 {
+			t.Fatalf("bucket count = %d, want %d", buckets, len(StageBucketsSeconds)+1)
+		}
+		if total != 3 {
+			t.Fatalf("bucket total = %d, want 3", total)
+		}
+	})
+	if series != 1 {
+		t.Fatalf("got %d stage series, want 1", series)
 	}
 }

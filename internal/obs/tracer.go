@@ -29,13 +29,6 @@ type stageKey struct {
 	stage    string
 }
 
-// stageHist is one cumulative latency histogram.
-type stageHist struct {
-	buckets    []uint64 // len(StageBucketsSeconds)+1; last is +Inf
-	sumSeconds float64
-	count      uint64
-}
-
 // Tracer mints request traces, retains the most recent finished ones
 // in a fixed-size ring buffer queryable by ID, and folds every
 // finished span into per-(analysis, stage) latency histograms. The
@@ -54,7 +47,7 @@ type Tracer struct {
 	finished   uint64
 	sampledOut uint64
 	sampleRate float64 // probability a Start mints a trace; 1 = always
-	stages     map[stageKey]*stageHist
+	stages     map[stageKey]*LatencyHistogram
 }
 
 // NewTracer returns a tracer retaining the last capacity finished
@@ -72,7 +65,7 @@ func NewTracer(capacity int, clock func() time.Time) *Tracer {
 		capacity:   capacity,
 		sampleRate: 1,
 		byID:       make(map[string]*Trace),
-		stages:     make(map[stageKey]*stageHist),
+		stages:     make(map[stageKey]*LatencyHistogram),
 	}
 }
 
@@ -150,7 +143,13 @@ func (t *Tracer) Finish(tr *Trace) {
 		if sp.end.IsZero() {
 			continue // still open; nothing meaningful to aggregate
 		}
-		t.observeLocked(sp.dataset, sp.analysis, sp.name, sp.end.Sub(sp.start).Seconds())
+		k := stageKey{dataset: sp.dataset, analysis: sp.analysis, stage: sp.name}
+		h, ok := t.stages[k]
+		if !ok {
+			h = NewLatencyHistogram(StageBucketsSeconds)
+			t.stages[k] = h
+		}
+		h.Observe(sp.end.Sub(sp.start))
 	}
 	if len(t.ring) >= t.capacity {
 		oldest := t.ring[0]
@@ -159,21 +158,6 @@ func (t *Tracer) Finish(tr *Trace) {
 	}
 	t.ring = append(t.ring, tr)
 	t.byID[tr.id] = tr
-}
-
-// observeLocked folds one duration into the (dataset, analysis, stage)
-// histogram; callers hold t.mu.
-func (t *Tracer) observeLocked(dataset, analysis, stage string, seconds float64) {
-	k := stageKey{dataset: dataset, analysis: analysis, stage: stage}
-	h, ok := t.stages[k]
-	if !ok {
-		h = &stageHist{buckets: make([]uint64, len(StageBucketsSeconds)+1)}
-		t.stages[k] = h
-	}
-	i := sort.SearchFloat64s(StageBucketsSeconds, seconds)
-	h.buckets[i]++
-	h.sumSeconds += seconds
-	h.count++
 }
 
 // Get returns the finished trace with the given ID, if it is still in
@@ -199,47 +183,34 @@ func (t *Tracer) IDs() []string {
 	return out
 }
 
-// StageExport is one (dataset, analysis, stage) histogram series,
-// cumulative in neither direction: Buckets[i] counts observations in
-// bucket i (bounds StageBucketsSeconds; the final entry is +Inf).
-// Dataset is "" for spans recorded outside any dataset scope.
-type StageExport struct {
-	Dataset    string
-	Analysis   string
-	Stage      string
-	Buckets    []uint64
-	SumSeconds float64
-	Count      uint64
-}
-
-// StageSnapshot returns every stage histogram, sorted by (analysis,
-// dataset, stage) for deterministic exposition.
-func (t *Tracer) StageSnapshot() []StageExport {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]StageExport, 0, len(t.stages))
-	for k, h := range t.stages {
-		buckets := make([]uint64, len(h.buckets))
-		copy(buckets, h.buckets)
-		out = append(out, StageExport{
-			Dataset:    k.dataset,
-			Analysis:   k.analysis,
-			Stage:      k.stage,
-			Buckets:    buckets,
-			SumSeconds: h.sumSeconds,
-			Count:      h.count,
-		})
+// EachStage calls f with a copy of every (dataset, analysis, stage)
+// histogram, sorted by (analysis, dataset, stage) for deterministic
+// exposition, after releasing the tracer's lock. Dataset is "" for
+// spans recorded outside any dataset scope.
+func (t *Tracer) EachStage(f func(dataset, analysis, stage string, h *LatencyHistogram)) {
+	type series struct {
+		key stageKey
+		h   *LatencyHistogram
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Analysis != out[j].Analysis {
-			return out[i].Analysis < out[j].Analysis
+	t.mu.Lock()
+	stages := make([]series, 0, len(t.stages))
+	for k, h := range t.stages {
+		stages = append(stages, series{k, h.Clone()})
+	}
+	t.mu.Unlock()
+	sort.Slice(stages, func(i, j int) bool {
+		a, b := stages[i].key, stages[j].key
+		if a.analysis != b.analysis {
+			return a.analysis < b.analysis
 		}
-		if out[i].Dataset != out[j].Dataset {
-			return out[i].Dataset < out[j].Dataset
+		if a.dataset != b.dataset {
+			return a.dataset < b.dataset
 		}
-		return out[i].Stage < out[j].Stage
+		return a.stage < b.stage
 	})
-	return out
+	for _, s := range stages {
+		f(s.key.dataset, s.key.analysis, s.key.stage, s.h)
+	}
 }
 
 // DropDataset deletes every stage-histogram series labelled with the

@@ -40,7 +40,7 @@ func TestRingBufferEviction(t *testing.T) {
 
 // TestRingBufferConcurrency drives many goroutines through the full
 // trace lifecycle — start, concurrent span writers (the batch-worker
-// shape), finish — while readers hammer Get/IDs/StageSnapshot/Record.
+// shape), finish — while readers hammer Get/IDs/EachStage/Record.
 // Run under -race this is the tracing layer's core soundness proof.
 func TestRingBufferConcurrency(t *testing.T) {
 	tr := NewTracer(8, nil) // real clock: exercise the default path
@@ -68,7 +68,7 @@ func TestRingBufferConcurrency(t *testing.T) {
 						t.Errorf("record ID %q under key %q", rec.ID, id)
 					}
 				}
-				tr.StageSnapshot()
+				tr.EachStage(func(_, _, _ string, h *LatencyHistogram) { h.Quantile(0.99) })
 				tr.Stats()
 			}
 		}()

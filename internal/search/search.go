@@ -95,8 +95,13 @@ func (e *Engine) Search(q Query) []Result {
 			}
 			if ok {
 				matched = append(matched, tag)
-				score += e.IDF(tag)
 			}
+		}
+		// Sum in sorted order: map order would vary the last bits of
+		// the score between identical calls and reorder ties.
+		sort.Strings(matched)
+		for _, tag := range matched {
+			score += e.IDF(tag)
 		}
 		if len(textWords) > 0 {
 			hay := strings.ToLower(m.Title + " " + m.Description)
@@ -118,7 +123,6 @@ func (e *Engine) Search(q Query) []Result {
 			}
 			score = 1 // facet-only match
 		}
-		sort.Strings(matched)
 		results = append(results, Result{Material: m, Score: score, MatchedTags: matched})
 	}
 	sort.Slice(results, func(i, j int) bool {

@@ -1,6 +1,10 @@
 package search
 
 import (
+	"math"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"csmaterials/internal/dataset"
@@ -177,5 +181,56 @@ func TestSearchOnFullDataset(t *testing.T) {
 		if !pdcAuthors[r.Material.Author] {
 			t.Errorf("result %s authored by %s, not a PDC instructor", r.Material.ID, r.Material.Author)
 		}
+	}
+}
+
+// TestSearchScoresAreDeterministic checks, over the seed corpus and a
+// query per tag prefix and per material tag set, that every tag score
+// is bit-equal to the IDF sum taken in MatchedTags order, and that
+// repeated calls return identical results — scores included, so ties
+// cannot reorder between calls.
+func TestSearchScoresAreDeterministic(t *testing.T) {
+	repo := dataset.Repository()
+	e := NewEngine(repo)
+	prefixes := map[string]bool{}
+	var queries []Query
+	for i, m := range repo.Materials() {
+		if i%8 == 0 && len(m.Tags) > 1 {
+			queries = append(queries, Query{Tags: m.Tags})
+		}
+		for _, tag := range m.Tags {
+			parts := strings.Split(tag, "/")
+			for i := 1; i < len(parts); i++ {
+				prefixes[strings.Join(parts[:i], "/")+"/"] = true
+			}
+		}
+	}
+	sorted := make([]string, 0, len(prefixes))
+	for p := range prefixes {
+		sorted = append(sorted, p)
+	}
+	sort.Strings(sorted)
+	for _, p := range sorted {
+		queries = append(queries, Query{TagPrefixes: []string{p}})
+	}
+	checked := 0
+	for _, q := range queries {
+		first := e.Search(q)
+		for _, r := range first {
+			sum := 0.0
+			for _, tag := range r.MatchedTags {
+				sum += e.IDF(tag)
+			}
+			if math.Float64bits(r.Score) != math.Float64bits(sum) {
+				t.Fatalf("query %+v: %s scored %v, IDF sum in MatchedTags order is %v", q, r.Material.ID, r.Score, sum)
+			}
+			checked++
+		}
+		if again := e.Search(q); !reflect.DeepEqual(again, first) {
+			t.Fatalf("query %+v: repeated call returned different results", q)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no results checked")
 	}
 }

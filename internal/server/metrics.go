@@ -1,0 +1,362 @@
+package server
+
+import (
+	"cmp"
+	"math"
+	"net/http"
+	"slices"
+	"strconv"
+	"time"
+
+	"csmaterials/internal/dataset"
+	"csmaterials/internal/engine"
+	"csmaterials/internal/obs"
+	"csmaterials/internal/resilience"
+	"csmaterials/internal/serving"
+)
+
+// The server is the one place that gathers stats for both metrics
+// endpoints: GET /debug/metrics (expvar-style JSON) and GET /metrics
+// (Prometheus text) read the route recorder, the cache, the admission
+// limiter, the breakers, the executor and the tracer directly.
+
+// DebugMetrics is the JSON document served at GET /debug/metrics.
+type DebugMetrics struct {
+	UptimeSeconds float64                  `json:"uptime_seconds"`
+	InFlight      int64                    `json:"in_flight"`
+	Routes        map[string]RouteSnapshot `json:"routes"`
+	Cache         serving.CacheStats       `json:"cache"`
+	Resilience    resilience.Stats         `json:"resilience"`
+	Engine        engine.Stats             `json:"engine"`
+}
+
+// RouteSnapshot is the JSON form of one route's stats, in milliseconds.
+type RouteSnapshot struct {
+	Count    uint64            `json:"count"`
+	ByStatus map[string]uint64 `json:"by_status"`
+	Buckets  map[string]uint64 `json:"latency_buckets_ms"`
+	MeanMS   float64           `json:"mean_ms"`
+	MaxMS    float64           `json:"max_ms"`
+	P50MS    float64           `json:"p50_ms"`
+	P90MS    float64           `json:"p90_ms"`
+	P99MS    float64           `json:"p99_ms"`
+}
+
+// handleDebugMetrics serves GET /debug/metrics.
+func (s *Server) handleDebugMetrics(w http.ResponseWriter, r *http.Request) {
+	routes := map[string]RouteSnapshot{}
+	s.metrics.EachRoute(func(route string, byStatus map[int]uint64, latency *obs.LatencyHistogram) {
+		rs := RouteSnapshot{
+			Count:    latency.Count(),
+			ByStatus: make(map[string]uint64, len(byStatus)),
+			Buckets:  map[string]uint64{},
+			MeanMS:   latency.Mean() * 1000,
+			MaxMS:    latency.Max() * 1000,
+			P50MS:    latency.Quantile(0.50) * 1000,
+			P90MS:    latency.Quantile(0.90) * 1000,
+			P99MS:    latency.Quantile(0.99) * 1000,
+		}
+		for status, n := range byStatus {
+			rs.ByStatus[strconv.Itoa(status)] = n
+		}
+		latency.Buckets(func(upper float64, n uint64) {
+			label := "+Inf"
+			if !math.IsInf(upper, +1) {
+				label = "<=" + strconv.FormatFloat(upper*1000, 'g', -1, 64)
+			}
+			rs.Buckets[label] = n
+		})
+		routes[route] = rs
+	})
+	serving.WriteJSON(w, http.StatusOK, DebugMetrics{
+		UptimeSeconds: time.Since(s.started).Seconds(),
+		InFlight:      s.metrics.InFlight(),
+		Routes:        routes,
+		Cache:         s.cache.Stats(),
+		Resilience:    s.resilienceStats(),
+		Engine:        s.exec.Stats(),
+	})
+}
+
+// resilienceStats gathers the admission limiter's globals and
+// per-tenant breakdown and every breaker's state. Single-tenant
+// servers report no tenant breakdown (the legacy shape); Breakers is
+// nil when circuit breaking is disabled.
+func (s *Server) resilienceStats() resilience.Stats {
+	var st resilience.Stats
+	st.Shedder, st.Tenants = s.limiter.Stats()
+	if !multiTenant(st.Tenants) {
+		st.Tenants = nil
+	}
+	if s.breakers != nil {
+		st.Breakers = s.breakers.Stats()
+	}
+	return st
+}
+
+// multiTenant reports whether a per-dataset breakdown names any dataset
+// besides the default one. Single-tenant deployments keep the legacy
+// exposition, without per-dataset families.
+func multiTenant[V any](byDataset map[string]V) bool {
+	_, onlyDefault := byDataset[dataset.DefaultID]
+	return len(byDataset) > 1 || (len(byDataset) == 1 && !onlyDefault)
+}
+
+// sortedKeys returns m's keys in ascending order, the sample order of
+// every labelled family.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// handleProm serves GET /metrics in Prometheus text exposition format:
+// the per-route HTTP histograms, the cache/shedder/breaker/engine
+// counters that /debug/metrics serves as JSON, and the per-analysis
+// per-stage latency histograms aggregated from request traces.
+func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
+	fams := s.promFamilies()
+	w.Header().Set("Content-Type", obs.ExpositionContentType)
+	w.WriteHeader(http.StatusOK)
+	_ = obs.WriteExposition(w, fams)
+}
+
+// promFamilies assembles every metric family in fixed family order
+// with sorted label sets, so the exposition shape (names, types,
+// label keys) is stable across runs and scrape-diffable. Families left
+// without samples (a single-tenant server's per-dataset breakdowns, a
+// never-refreshed dataset's refresh counters) are not written.
+func (s *Server) promFamilies() []obs.Family {
+	var fams []obs.Family
+
+	// HTTP layer: uptime, in-flight, per-route counters + histograms.
+	fams = append(fams,
+		obs.Family{Name: "csm_uptime_seconds", Help: "Seconds since the metrics registry was created.", Type: obs.Gauge,
+			Samples: []obs.Sample{{Value: time.Since(s.started).Seconds()}}},
+		obs.Family{Name: "csm_http_in_flight", Help: "Requests currently being served.", Type: obs.Gauge,
+			Samples: []obs.Sample{{Value: float64(s.metrics.InFlight())}}},
+	)
+	reqs := obs.Family{Name: "csm_http_requests_total", Help: "Completed requests by route pattern and status code.", Type: obs.Counter}
+	durs := obs.Family{Name: "csm_http_request_duration_seconds", Help: "Request latency by route pattern.", Type: obs.Histogram}
+	s.metrics.EachRoute(func(route string, byStatus map[int]uint64, latency *obs.LatencyHistogram) {
+		for _, status := range sortedKeys(byStatus) {
+			reqs.Samples = append(reqs.Samples, obs.Sample{
+				Labels: []obs.Label{{Name: "route", Value: route}, {Name: "status", Value: strconv.Itoa(status)}},
+				Value:  float64(byStatus[status]),
+			})
+		}
+		durs.Samples = append(durs.Samples, latency.Samples([]obs.Label{{Name: "route", Value: route}})...)
+	})
+	fams = append(fams, reqs, durs)
+
+	// Cache: global aggregates, then the per-dataset partition so one
+	// tenant's budget pressure is visible in isolation.
+	cs := s.cache.Stats()
+	fams = append(fams,
+		counterFam("csm_cache_hits_total", "Fresh-cache hits.", cs.Hits),
+		counterFam("csm_cache_misses_total", "Fresh-cache misses.", cs.Misses),
+		counterFam("csm_cache_shared_flights_total", "Requests answered by another caller's singleflight.", cs.Shared),
+		counterFam("csm_cache_evictions_total", "Fresh-cache LRU evictions.", cs.Evictions),
+		counterFam("csm_cache_stale_served_total", "Degraded last-known-good serves.", cs.StaleServed),
+		gaugeFam("csm_cache_size", "Fresh entries currently retained.", float64(cs.Size)),
+		gaugeFam("csm_cache_capacity", "Fresh-cache capacity.", float64(cs.Capacity)),
+		gaugeFam("csm_cache_stale_size", "Stale last-known-good entries retained.", float64(cs.StaleSize)),
+	)
+	dcBudget := obs.Family{Name: "csm_dataset_cache_budget", Help: "Fresh-entry cache budget per dataset.", Type: obs.Gauge}
+	dcSize := obs.Family{Name: "csm_dataset_cache_size", Help: "Fresh entries retained per dataset.", Type: obs.Gauge}
+	dcStale := obs.Family{Name: "csm_dataset_cache_stale_size", Help: "Stale entries retained per dataset.", Type: obs.Gauge}
+	dcHits := obs.Family{Name: "csm_dataset_cache_hits_total", Help: "Fresh-cache hits per dataset.", Type: obs.Counter}
+	dcMisses := obs.Family{Name: "csm_dataset_cache_misses_total", Help: "Fresh-cache misses per dataset.", Type: obs.Counter}
+	dcEvict := obs.Family{Name: "csm_dataset_cache_evictions_total", Help: "Budget-scoped LRU evictions per dataset.", Type: obs.Counter}
+	dcStaleServed := obs.Family{Name: "csm_dataset_cache_stale_served_total", Help: "Degraded stale serves per dataset.", Type: obs.Counter}
+	if multiTenant(cs.Scopes) {
+		for _, scope := range sortedKeys(cs.Scopes) {
+			sc := cs.Scopes[scope]
+			l := []obs.Label{{Name: "dataset", Value: scope}}
+			dcBudget.Samples = append(dcBudget.Samples, obs.Sample{Labels: l, Value: float64(sc.Budget)})
+			dcSize.Samples = append(dcSize.Samples, obs.Sample{Labels: l, Value: float64(sc.Size)})
+			dcStale.Samples = append(dcStale.Samples, obs.Sample{Labels: l, Value: float64(sc.StaleSize)})
+			dcHits.Samples = append(dcHits.Samples, obs.Sample{Labels: l, Value: float64(sc.Hits)})
+			dcMisses.Samples = append(dcMisses.Samples, obs.Sample{Labels: l, Value: float64(sc.Misses)})
+			dcEvict.Samples = append(dcEvict.Samples, obs.Sample{Labels: l, Value: float64(sc.Evictions)})
+			dcStaleServed.Samples = append(dcStaleServed.Samples, obs.Sample{Labels: l, Value: float64(sc.StaleServed)})
+		}
+	}
+	fams = append(fams, dcBudget, dcSize, dcStale, dcHits, dcMisses, dcEvict, dcStaleServed)
+
+	// Resilience: two-level admission limiter (global + per-tenant
+	// quotas) + per-analysis breakers.
+	rs := s.resilienceStats()
+	fams = append(fams,
+		gaugeFam("csm_shed_max_in_flight", "In-flight bound before shedding (0 = unlimited).", float64(rs.Shedder.MaxInFlight)),
+		gaugeFam("csm_shed_in_flight", "Requests currently inside the shedder.", float64(rs.Shedder.InFlight)),
+		counterFam("csm_shed_admitted_total", "Requests admitted by the load shedder.", rs.Shedder.Admitted),
+		counterFam("csm_shed_rejected_total", "Requests shed with 429 (capacity + quota).", rs.Shedder.Shed),
+	)
+	tQuota := obs.Family{Name: "csm_tenant_quota", Help: "In-flight admission quota per dataset (0 = unlimited).", Type: obs.Gauge}
+	tInFlight := obs.Family{Name: "csm_tenant_in_flight", Help: "Requests currently admitted per dataset.", Type: obs.Gauge}
+	tAdmitted := obs.Family{Name: "csm_tenant_admitted_total", Help: "Requests admitted per dataset.", Type: obs.Counter}
+	tShed := obs.Family{Name: "csm_tenant_shed_total", Help: "Requests shed per dataset (capacity + quota).", Type: obs.Counter}
+	tShedQuota := obs.Family{Name: "csm_tenant_shed_quota_total", Help: "Requests shed per dataset for exceeding its own quota.", Type: obs.Counter}
+	for _, id := range sortedKeys(rs.Tenants) {
+		tn := rs.Tenants[id]
+		l := []obs.Label{{Name: "dataset", Value: id}}
+		tQuota.Samples = append(tQuota.Samples, obs.Sample{Labels: l, Value: float64(tn.Quota)})
+		tInFlight.Samples = append(tInFlight.Samples, obs.Sample{Labels: l, Value: float64(tn.InFlight)})
+		tAdmitted.Samples = append(tAdmitted.Samples, obs.Sample{Labels: l, Value: float64(tn.Admitted)})
+		tShed.Samples = append(tShed.Samples, obs.Sample{Labels: l, Value: float64(tn.Shed)})
+		tShedQuota.Samples = append(tShedQuota.Samples, obs.Sample{Labels: l, Value: float64(tn.ShedQuota)})
+	}
+	fams = append(fams, tQuota, tInFlight, tAdmitted, tShed, tShedQuota)
+	state := obs.Family{Name: "csm_breaker_state", Help: "Circuit state per (dataset, analysis): 0 closed, 1 half-open, 2 open.", Type: obs.Gauge}
+	succ := obs.Family{Name: "csm_breaker_successes_total", Help: "Recorded successes per (dataset, analysis) breaker.", Type: obs.Counter}
+	fail := obs.Family{Name: "csm_breaker_failures_total", Help: "Recorded failures per (dataset, analysis) breaker.", Type: obs.Counter}
+	rej := obs.Family{Name: "csm_breaker_rejected_total", Help: "Requests rejected by an open circuit per (dataset, analysis).", Type: obs.Counter}
+	opens := obs.Family{Name: "csm_breaker_opens_total", Help: "Times each (dataset, analysis) circuit opened.", Type: obs.Counter}
+	for _, name := range sortedKeys(rs.Breakers) {
+		b := rs.Breakers[name]
+		l := scopeLabels(name)
+		state.Samples = append(state.Samples, obs.Sample{Labels: l, Value: breakerStateValue(b.State)})
+		succ.Samples = append(succ.Samples, obs.Sample{Labels: l, Value: float64(b.Successes)})
+		fail.Samples = append(fail.Samples, obs.Sample{Labels: l, Value: float64(b.Failures)})
+		rej.Samples = append(rej.Samples, obs.Sample{Labels: l, Value: float64(b.Rejected)})
+		opens.Samples = append(opens.Samples, obs.Sample{Labels: l, Value: float64(b.Opens)})
+	}
+	fams = append(fams, state, succ, fail, rej, opens)
+
+	// Engine executor: per-(dataset, analysis) compute accounting +
+	// batch totals. Scope keys sort before splitting, so the sample
+	// order is deterministic even though it is not label-lexicographic.
+	es := s.exec.Stats()
+	computes := obs.Family{Name: "csm_analysis_computes_total", Help: "Computes started per (dataset, analysis).", Type: obs.Counter}
+	failures := obs.Family{Name: "csm_analysis_failures_total", Help: "Compute failures per (dataset, analysis).", Type: obs.Counter}
+	stale := obs.Family{Name: "csm_analysis_stale_served_total", Help: "Stale serves per (dataset, analysis).", Type: obs.Counter}
+	hits := obs.Family{Name: "csm_analysis_cache_hits_total", Help: "Requests served from cache or a shared flight per (dataset, analysis).", Type: obs.Counter}
+	misses := obs.Family{Name: "csm_analysis_cache_misses_total", Help: "Requests that computed per (dataset, analysis).", Type: obs.Counter}
+	for _, name := range sortedKeys(es.Analyses) {
+		a := es.Analyses[name]
+		l := scopeLabels(name)
+		computes.Samples = append(computes.Samples, obs.Sample{Labels: l, Value: float64(a.Computes)})
+		failures.Samples = append(failures.Samples, obs.Sample{Labels: l, Value: float64(a.Failures)})
+		stale.Samples = append(stale.Samples, obs.Sample{Labels: l, Value: float64(a.StaleServed)})
+		hits.Samples = append(hits.Samples, obs.Sample{Labels: l, Value: float64(a.CacheHits)})
+		misses.Samples = append(misses.Samples, obs.Sample{Labels: l, Value: float64(a.CacheMisses)})
+	}
+	fams = append(fams, computes, failures, stale, hits, misses,
+		counterFam("csm_batch_calls_total", "Batch requests served.", es.BatchCalls),
+		counterFam("csm_batch_items_total", "Batch items executed.", es.BatchItems),
+		gaugeFam("csm_batch_workers", "Configured batch worker-pool size.", float64(es.BatchWorkers)),
+	)
+
+	// Incremental refresh: per-dataset delta/full refresh accounting,
+	// invalidation precision, and warm-start convergence. Emitted only
+	// once a dataset has refreshed, so cold single-tenant scrapes keep
+	// the legacy exposition.
+	rfTotal := obs.Family{Name: "csm_refresh_total", Help: "Serving-layer refreshes per dataset by kind (delta = event-driven, full = whole-dataset invalidation).", Type: obs.Counter}
+	rfInval := obs.Family{Name: "csm_refresh_invalidated_total", Help: "Cache entries dropped by refreshes per dataset, by store.", Type: obs.Counter}
+	rfMigrated := obs.Family{Name: "csm_refresh_migrated_total", Help: "Cache entries migrated to a new revision unchanged per dataset.", Type: obs.Counter}
+	rfSeeded := obs.Family{Name: "csm_refresh_seeded_total", Help: "Warm-start priors retained from dropped entries per dataset.", Type: obs.Counter}
+	rfWarm := obs.Family{Name: "csm_refresh_warm_starts_total", Help: "Recomputes answered warm from a retained prior per dataset.", Type: obs.Counter}
+	rfFallback := obs.Family{Name: "csm_refresh_warm_fallbacks_total", Help: "Warm-start priors declined (cold recompute ran) per dataset.", Type: obs.Counter}
+	rfIters := obs.Family{Name: "csm_refresh_iterations_total", Help: "Iterations-to-converge accumulated per dataset by compute mode.", Type: obs.Counter}
+	for _, id := range sortedKeys(es.Refresh) {
+		rf := es.Refresh[id]
+		l := []obs.Label{{Name: "dataset", Value: id}}
+		rfTotal.Samples = append(rfTotal.Samples,
+			obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "kind", Value: "delta"}}, Value: float64(rf.Delta)},
+			obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "kind", Value: "full"}}, Value: float64(rf.Full)})
+		rfInval.Samples = append(rfInval.Samples,
+			obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "store", Value: "fresh"}}, Value: float64(rf.InvalidatedFresh)},
+			obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "store", Value: "stale"}}, Value: float64(rf.InvalidatedStale)})
+		rfMigrated.Samples = append(rfMigrated.Samples, obs.Sample{Labels: l, Value: float64(rf.Migrated)})
+		rfSeeded.Samples = append(rfSeeded.Samples, obs.Sample{Labels: l, Value: float64(rf.Seeded)})
+		rfWarm.Samples = append(rfWarm.Samples, obs.Sample{Labels: l, Value: float64(rf.WarmStarts)})
+		rfFallback.Samples = append(rfFallback.Samples, obs.Sample{Labels: l, Value: float64(rf.WarmFallbacks)})
+		rfIters.Samples = append(rfIters.Samples,
+			obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "mode", Value: "cold"}}, Value: float64(rf.ColdIterations)},
+			obs.Sample{Labels: []obs.Label{{Name: "dataset", Value: id}, {Name: "mode", Value: "warm"}}, Value: float64(rf.WarmIterations)})
+	}
+	fams = append(fams, rfTotal, rfInval, rfMigrated, rfSeeded, rfWarm, rfFallback, rfIters)
+
+	// Dataset registry: one gauge set per registered dataset.
+	metas := s.datasets.List()
+	dsRev := obs.Family{Name: "csm_dataset_revision", Help: "Current revision per dataset.", Type: obs.Gauge}
+	dsCourses := obs.Family{Name: "csm_dataset_courses", Help: "Courses per dataset.", Type: obs.Gauge}
+	dsMaterials := obs.Family{Name: "csm_dataset_materials", Help: "Materials per dataset.", Type: obs.Gauge}
+	slices.SortFunc(metas, func(a, b dataset.Meta) int { return cmp.Compare(a.ID, b.ID) })
+	for _, m := range metas {
+		l := []obs.Label{{Name: "dataset", Value: m.ID}}
+		dsRev.Samples = append(dsRev.Samples, obs.Sample{Labels: l, Value: float64(m.Revision)})
+		dsCourses.Samples = append(dsCourses.Samples, obs.Sample{Labels: l, Value: float64(m.Courses)})
+		dsMaterials.Samples = append(dsMaterials.Samples, obs.Sample{Labels: l, Value: float64(m.Materials)})
+	}
+	idleFam := obs.Family{Name: "csm_dataset_idle_reclaims_total", Help: "Times each dataset's warm state (search index + cache entries) was reclaimed after idling past -idle-ttl.", Type: obs.Counter}
+	reclaims := s.idleReclaimTotals()
+	for _, id := range sortedKeys(reclaims) {
+		idleFam.Samples = append(idleFam.Samples, obs.Sample{
+			Labels: []obs.Label{{Name: "dataset", Value: id}},
+			Value:  float64(reclaims[id]),
+		})
+	}
+	fams = append(fams,
+		gaugeFam("csm_datasets", "Registered datasets.", float64(len(metas))),
+		dsRev, dsCourses, dsMaterials, idleFam,
+	)
+
+	// Tracing: per-(dataset, analysis, stage) latency histograms + ring
+	// counters. Spans recorded outside any dataset scope fall back to
+	// the default dataset label.
+	stageFam := obs.Family{Name: "csm_stage_duration_seconds", Help: "Ladder stage latency from request traces, by dataset, analysis, and stage.", Type: obs.Histogram}
+	s.tracer.EachStage(func(ds, analysis, stage string, latency *obs.LatencyHistogram) {
+		if ds == "" {
+			ds = dataset.DefaultID
+		}
+		stageFam.Samples = append(stageFam.Samples, latency.Samples(
+			[]obs.Label{{Name: "analysis", Value: analysis}, {Name: "dataset", Value: ds}, {Name: "stage", Value: stage}})...)
+	})
+	ts := s.tracer.Stats()
+	fams = append(fams, stageFam,
+		counterFam("csm_traces_total", "Traces finished.", ts.Finished),
+		counterFam("csm_traces_sampled_out_total", "Requests that ran untraced under -trace-sample.", ts.SampledOut),
+		gaugeFam("csm_trace_sample_rate", "Probability a request is traced (-trace-sample).", ts.SampleRate),
+		gaugeFam("csm_trace_ring_size", "Finished traces retained for /debug/trace.", float64(ts.RingSize)),
+		gaugeFam("csm_trace_ring_capacity", "Trace ring-buffer capacity.", float64(ts.Capacity)),
+		counterFam("csm_log_dropped_total", "Wide-event log lines lost to encode/write failures.", s.events.Drops()),
+	)
+
+	// Fleet: only in multi-replica mode, so single-process deployments
+	// keep the legacy exposition.
+	if s.fleet != nil {
+		fams = append(fams, s.promFleetFamilies()...)
+	}
+	return fams
+}
+
+// scopeLabels expands an executor/breaker scope name into its
+// {analysis, dataset} label pair (alphabetical label order, per the
+// exposition's stable-shape contract).
+func scopeLabels(scope string) []obs.Label {
+	ds, analysis := engine.SplitScope(scope)
+	return []obs.Label{{Name: "analysis", Value: analysis}, {Name: "dataset", Value: ds}}
+}
+
+func breakerStateValue(state string) float64 {
+	switch state {
+	case resilience.Open.String():
+		return 2
+	case resilience.HalfOpen.String():
+		return 1
+	}
+	return 0
+}
+
+func counterFam(name, help string, v uint64) obs.Family {
+	return obs.Family{Name: name, Help: help, Type: obs.Counter, Samples: []obs.Sample{{Value: float64(v)}}}
+}
+
+func gaugeFam(name, help string, v float64) obs.Family {
+	return obs.Family{Name: name, Help: help, Type: obs.Gauge, Samples: []obs.Sample{{Value: v}}}
+}

@@ -212,6 +212,44 @@ func TestPromExposition(t *testing.T) {
 	}
 }
 
+// TestDebugMetricsHandlerJSON checks the values behind the
+// /debug/metrics shape: the cache counters, the per-route count and
+// latency buckets, uptime and the in-flight gauge.
+func TestDebugMetricsHandlerJSON(t *testing.T) {
+	s := newObsServer(t, Options{})
+	do(t, s, http.MethodGet, "/api/v1/types?group=cs1&k=3", "")
+	do(t, s, http.MethodGet, "/api/v1/types?group=cs1&k=3", "")
+	do(t, s, http.MethodGet, "/api/v1/courses?limit=2", "")
+
+	w := do(t, s, http.MethodGet, "/debug/metrics", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d", w.Code)
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("content type %q", ct)
+	}
+	var snap DebugMetrics
+	decode(t, w.Body.Bytes(), &snap)
+	if snap.Cache.Hits != 1 || snap.Cache.Misses != 1 {
+		t.Fatalf("cache stats = %+v", snap.Cache)
+	}
+	rs := snap.Routes["GET /api/v1/courses"]
+	if rs.Count != 1 || rs.ByStatus["200"] != 1 {
+		t.Fatalf("courses route = %+v", rs)
+	}
+	var total uint64
+	for _, n := range rs.Buckets {
+		total += n
+	}
+	if len(rs.Buckets) != 12 || total != 1 || rs.MaxMS <= 0 || rs.P99MS > rs.MaxMS {
+		t.Fatalf("courses latency = %+v", rs)
+	}
+	// The scrape itself is the one request in flight.
+	if snap.UptimeSeconds < 0 || snap.InFlight != 1 {
+		t.Fatalf("uptime = %v, in flight = %d", snap.UptimeSeconds, snap.InFlight)
+	}
+}
+
 // TestWideEvents checks the one-line-per-request structured access log:
 // shape, trace correlation, and the serving outcome field.
 func TestWideEvents(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"csmaterials/internal/resilience/faultinject"
-	"csmaterials/internal/serving"
 )
 
 // waitFor polls cond until true or a 5s budget runs out.
@@ -105,10 +104,10 @@ func TestShedderRejects429UnderOverload(t *testing.T) {
 
 	// The shed shows up in /debug/metrics' resilience section and in
 	// the per-route 429 accounting.
-	var snap serving.Snapshot
+	var snap DebugMetrics
 	_, mbody := get(t, ts, "/debug/metrics")
 	decode(t, mbody, &snap)
-	if snap.Resilience == nil || snap.Resilience.Shedder.Shed < 1 {
+	if snap.Resilience.Shedder.Shed < 1 {
 		t.Fatalf("resilience snapshot = %+v", snap.Resilience)
 	}
 	if snap.Routes["GET /api/v1/courses"].ByStatus["429"] != 1 {
@@ -215,13 +214,13 @@ func TestBreakerAndStaleDegradation(t *testing.T) {
 	}
 
 	// /debug/metrics exposes breaker state and the stale-served count.
-	var snap serving.Snapshot
+	var snap DebugMetrics
 	_, mbody := get(t, ts, "/debug/metrics")
 	decode(t, mbody, &snap)
-	if snap.Resilience == nil || snap.Resilience.Breakers["types"].State != "open" {
+	if snap.Resilience.Breakers["types"].State != "open" {
 		t.Fatalf("metrics breakers = %+v", snap.Resilience)
 	}
-	if snap.Cache == nil || snap.Cache.StaleServed < 4 {
+	if snap.Cache.StaleServed < 4 {
 		t.Fatalf("metrics cache = %+v", snap.Cache)
 	}
 

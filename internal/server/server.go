@@ -160,6 +160,7 @@ type Server struct {
 	handler  http.Handler
 	cache    *serving.Cache
 	metrics  *serving.Metrics
+	started  time.Time // uptime origin of both metrics endpoints
 	logger   *log.Logger
 	noWarmup bool
 
@@ -240,6 +241,7 @@ func NewWithOptions(o Options) (*Server, error) {
 		mux:          http.NewServeMux(),
 		cache:        serving.NewCache(size),
 		metrics:      serving.NewMetrics(),
+		started:      time.Now(),
 		logger:       o.Logger,
 		noWarmup:     o.disableWarmup,
 		limiter:      resilience.NewTenantLimiter(maxInFlight, 0),
@@ -284,22 +286,6 @@ func NewWithOptions(o Options) (*Server, error) {
 	})
 	s.exec.SetBatchWorkers(o.BatchWorkers)
 	s.retuneTenancy()
-	s.metrics.ObserveCache(s.cache)
-	s.metrics.ObserveResilience(func() resilience.Stats {
-		var st resilience.Stats
-		st.Shedder, st.Tenants = s.limiter.Stats()
-		if len(st.Tenants) == 1 {
-			if _, only := st.Tenants[dataset.DefaultID]; only {
-				// Single-tenant snapshots keep the legacy shape.
-				st.Tenants = nil
-			}
-		}
-		if s.breakers != nil {
-			st.Breakers = s.breakers.Stats()
-		}
-		return st
-	})
-	s.metrics.ObserveEngine(func() interface{} { return s.exec.Stats() })
 	s.routes()
 	if s.events != nil {
 		// Wide events replace the plain access log: one line per
@@ -341,9 +327,6 @@ func (s *Server) spawnBackground(fn func(ctx context.Context)) {
 // ingest-triggered warmups) has finished. cmd/serve calls it after the
 // HTTP listener has shut down.
 func (s *Server) DrainBackground() { s.bg.Wait() }
-
-// Metrics exposes the metrics registry (for cmd/serve and tests).
-func (s *Server) Metrics() *serving.Metrics { return s.metrics }
 
 // Cache exposes the result cache (for benchmarks and tests).
 func (s *Server) Cache() *serving.Cache { return s.cache }
@@ -392,7 +375,7 @@ func (s *Server) routes() {
 	s.handleAPI("PATCH /api/v1/datasets/{ds}", http.HandlerFunc(s.handleDatasetPatch))
 	s.handleAPI("DELETE /api/v1/datasets/{ds}", http.HandlerFunc(s.handleDatasetDelete))
 	s.handleAPI("POST /api/v1/keys/reload", http.HandlerFunc(s.handleKeysReload))
-	s.handle("GET /debug/metrics", s.metrics.Handler())
+	s.handle("GET /debug/metrics", http.HandlerFunc(s.handleDebugMetrics))
 	s.handle("GET /metrics", http.HandlerFunc(s.handleProm))
 	s.handle("GET /debug/trace", http.HandlerFunc(s.handleTraceList))
 	s.handle("GET /debug/trace/{id}", http.HandlerFunc(s.handleTrace))

@@ -11,7 +11,6 @@ import (
 
 	"csmaterials/internal/engine"
 	"csmaterials/internal/materials"
-	"csmaterials/internal/serving"
 )
 
 // fakeCompute swaps the registered analysis's Compute for fn while
@@ -119,7 +118,7 @@ func TestCacheMetaAndMetrics(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("metrics status %d", resp.StatusCode)
 	}
-	var snap serving.Snapshot
+	var snap DebugMetrics
 	decode(t, body, &snap)
 	rs, ok := snap.Routes["GET /api/v1/types"]
 	if !ok {
@@ -138,7 +137,7 @@ func TestCacheMetaAndMetrics(t *testing.T) {
 	if rs.P99MS < rs.P50MS {
 		t.Fatalf("quantiles out of order: %+v", rs)
 	}
-	if snap.Cache == nil || snap.Cache.Hits < 1 || snap.Cache.Misses < 1 {
+	if snap.Cache.Hits < 1 || snap.Cache.Misses < 1 {
 		t.Fatalf("cache stats = %+v", snap.Cache)
 	}
 }

@@ -2,11 +2,17 @@ package serving
 
 import (
 	"math"
-	"sort"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
+
+	"csmaterials/internal/obs"
 )
 
+// TestMetricsExport checks the raw form exporters read: routes in
+// order, per-status counts, and a histogram whose buckets cover every
+// observation.
 func TestMetricsExport(t *testing.T) {
 	m := NewMetrics()
 	m.Observe("GET /api/v1/types", 200, 3*time.Millisecond)
@@ -14,43 +20,96 @@ func TestMetricsExport(t *testing.T) {
 	m.Observe("GET /api/v1/types", 400, time.Millisecond)
 	m.Observe("GET /api/v1/courses", 200, 700*time.Millisecond)
 	m.IncInFlight()
+	if got := m.InFlight(); got != 1 {
+		t.Fatalf("in-flight = %d, want 1", got)
+	}
 
-	ex := m.Export()
-	if ex.InFlight != 1 {
-		t.Fatalf("in-flight = %d, want 1", ex.InFlight)
+	var routes []string
+	m.EachRoute(func(route string, byStatus map[int]uint64, h *obs.LatencyHistogram) {
+		routes = append(routes, route)
+		if route != "GET /api/v1/types" {
+			return
+		}
+		if h.Count() != 3 {
+			t.Fatalf("count = %d, want 3", h.Count())
+		}
+		if want := map[int]uint64{200: 2, 400: 1}; !reflect.DeepEqual(byStatus, want) {
+			t.Fatalf("by-status = %v, want %v", byStatus, want)
+		}
+		buckets, last := 0, 0.0
+		var total uint64
+		h.Buckets(func(upper float64, n uint64) {
+			if upper <= last {
+				t.Fatalf("bounds not ascending at %v", upper)
+			}
+			buckets, last, total = buckets+1, upper, total+n
+		})
+		if buckets != len(routeBucketsSeconds)+1 || !math.IsInf(last, +1) {
+			t.Fatalf("%d buckets ending at %v, want %d ending at +Inf", buckets, last, len(routeBucketsSeconds)+1)
+		}
+		if total != 3 {
+			t.Fatalf("bucket total = %d, want 3", total)
+		}
+		if sum := h.Mean() * 3; math.Abs(sum-0.034) > 1e-12 {
+			t.Fatalf("sum = %v s, want 0.034", sum)
+		}
+	})
+	if want := []string{"GET /api/v1/courses", "GET /api/v1/types"}; !reflect.DeepEqual(routes, want) {
+		t.Fatalf("routes = %v, want %v", routes, want)
 	}
-	if len(ex.Routes) != 2 || ex.Routes[0].Route != "GET /api/v1/courses" || ex.Routes[1].Route != "GET /api/v1/types" {
-		t.Fatalf("routes not sorted: %+v", ex.Routes)
+
+	// The callback gets copies: changing them cannot corrupt the recorder.
+	m.EachRoute(func(_ string, byStatus map[int]uint64, h *obs.LatencyHistogram) {
+		byStatus[200] = math.MaxUint64
+		h.Observe(time.Hour)
+	})
+	m.EachRoute(func(route string, byStatus map[int]uint64, h *obs.LatencyHistogram) {
+		if byStatus[200] == math.MaxUint64 || h.Max() >= time.Hour.Seconds() {
+			t.Fatalf("%s: EachRoute aliases the recorder's state", route)
+		}
+	})
+}
+
+// TestMetricsEachRouteConcurrentWithObserve reads the recorder while
+// requests are observed; run under -race. Every read sees a histogram
+// count equal to its per-status total, so a copy is never torn.
+func TestMetricsEachRouteConcurrentWithObserve(t *testing.T) {
+	m := NewMetrics()
+	const writers, perWriter = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				m.Observe("r", 200+w, time.Duration(i)*time.Microsecond)
+			}
+		}(w)
 	}
-	types := ex.Routes[1]
-	if types.Count != 3 {
-		t.Fatalf("count = %d, want 3", types.Count)
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		m.EachRoute(func(_ string, byStatus map[int]uint64, h *obs.LatencyHistogram) {
+			var total uint64
+			for _, n := range byStatus {
+				total += n
+			}
+			if total != h.Count() {
+				t.Fatalf("torn copy: %d by status, %d in the histogram", total, h.Count())
+			}
+		})
 	}
-	wantStatus := []StatusCount{{Status: 200, Count: 2}, {Status: 400, Count: 1}}
-	if len(types.ByStatus) != 2 || types.ByStatus[0] != wantStatus[0] || types.ByStatus[1] != wantStatus[1] {
-		t.Fatalf("by-status = %+v, want %+v", types.ByStatus, wantStatus)
-	}
-	bounds := LatencyBoundsMS()
-	if !sort.Float64sAreSorted(bounds) {
-		t.Fatalf("bounds not sorted: %v", bounds)
-	}
-	if len(types.BucketCounts) != len(bounds)+1 {
-		t.Fatalf("bucket counts = %d, want %d", len(types.BucketCounts), len(bounds)+1)
-	}
-	var total uint64
-	for _, n := range types.BucketCounts {
-		total += n
-	}
-	if total != 3 {
-		t.Fatalf("bucket total = %d, want 3", total)
-	}
-	if types.TotalMS < 34-1e-9 || types.TotalMS > 34+1e-9 {
-		t.Fatalf("total ms = %v, want 34", types.TotalMS)
-	}
-	// Export must return copies: mutating them cannot corrupt the registry.
-	types.BucketCounts[0] = math.MaxUint64
-	bounds[0] = -1
-	if m.Export().Routes[1].BucketCounts[0] == math.MaxUint64 || LatencyBoundsMS()[0] < 0 {
-		t.Fatal("export aliases internal state")
-	}
+	m.EachRoute(func(_ string, _ map[int]uint64, h *obs.LatencyHistogram) {
+		if h.Count() != writers*perWriter {
+			t.Fatalf("count = %d, want %d", h.Count(), writers*perWriter)
+		}
+	})
 }

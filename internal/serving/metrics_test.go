@@ -1,11 +1,34 @@
 package serving
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"testing"
 	"time"
+
+	"csmaterials/internal/obs"
 )
+
+// routeOf runs f on one route's recorder state, failing when the route
+// was never observed.
+func routeOf(t *testing.T, m *Metrics, route string, f func(byStatus map[int]uint64, latency *obs.LatencyHistogram)) {
+	t.Helper()
+	found := false
+	m.EachRoute(func(r string, byStatus map[int]uint64, latency *obs.LatencyHistogram) {
+		if r == route {
+			found = true
+			f(byStatus, latency)
+		}
+	})
+	if !found {
+		t.Fatalf("route %q not recorded", route)
+	}
+}
+
+// bucketCounts maps each bucket's upper bound (seconds) to its count.
+func bucketCounts(h *obs.LatencyHistogram) map[float64]uint64 {
+	out := map[float64]uint64{}
+	h.Buckets(func(upper float64, n uint64) { out[upper] = n })
+	return out
+}
 
 func TestMetricsObserve(t *testing.T) {
 	m := NewMetrics()
@@ -14,30 +37,30 @@ func TestMetricsObserve(t *testing.T) {
 	m.Observe("GET /api/v1/types", 400, 40*time.Millisecond)
 	m.Observe("GET /healthz", 200, 500*time.Microsecond)
 
-	snap := m.Snapshot()
-	rs, ok := snap.Routes["GET /api/v1/types"]
-	if !ok {
-		t.Fatalf("route missing from snapshot: %+v", snap.Routes)
-	}
-	if rs.Count != 3 || rs.ByStatus["200"] != 2 || rs.ByStatus["400"] != 1 {
-		t.Fatalf("route stats = %+v", rs)
-	}
-	if rs.Buckets["<=5"] != 1 || rs.Buckets["<=10"] != 1 || rs.Buckets["<=50"] != 1 {
-		t.Fatalf("buckets = %+v", rs.Buckets)
-	}
-	if rs.MaxMS != 40 { // lint:exact — an injected 40ms observation converts to exactly 40.0
-		t.Fatalf("max = %v", rs.MaxMS)
-	}
-	if rs.MeanMS < 16 || rs.MeanMS > 17 {
-		t.Fatalf("mean = %v", rs.MeanMS)
-	}
-	// Quantiles are monotone and inside the observed range.
-	if rs.P50MS <= 0 || rs.P50MS > rs.P90MS || rs.P90MS > rs.P99MS || rs.P99MS > rs.MaxMS {
-		t.Fatalf("quantiles p50=%v p90=%v p99=%v max=%v", rs.P50MS, rs.P90MS, rs.P99MS, rs.MaxMS)
-	}
-	if hz := snap.Routes["GET /healthz"]; hz.Buckets["<=1"] != 1 {
-		t.Fatalf("healthz buckets = %+v", hz.Buckets)
-	}
+	routeOf(t, m, "GET /api/v1/types", func(byStatus map[int]uint64, h *obs.LatencyHistogram) {
+		if h.Count() != 3 || byStatus[200] != 2 || byStatus[400] != 1 {
+			t.Fatalf("route stats: count %d, by status %v", h.Count(), byStatus)
+		}
+		if b := bucketCounts(h); b[0.005] != 1 || b[0.01] != 1 || b[0.05] != 1 {
+			t.Fatalf("buckets = %v", b)
+		}
+		if h.Max() != 0.04 { // lint:exact — an injected 40ms observation converts to exactly 0.04
+			t.Fatalf("max = %v", h.Max())
+		}
+		if mean := h.Mean() * 1000; mean < 16 || mean > 17 {
+			t.Fatalf("mean = %v ms", mean)
+		}
+		// Quantiles are monotone and inside the observed range.
+		p50, p90, p99 := h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99)
+		if p50 <= 0 || p50 > p90 || p90 > p99 || p99 > h.Max() {
+			t.Fatalf("quantiles p50=%v p90=%v p99=%v max=%v", p50, p90, p99, h.Max())
+		}
+	})
+	routeOf(t, m, "GET /healthz", func(_ map[int]uint64, h *obs.LatencyHistogram) {
+		if b := bucketCounts(h); b[0.001] != 1 {
+			t.Fatalf("healthz buckets = %v", b)
+		}
+	})
 }
 
 func TestMetricsInFlight(t *testing.T) {
@@ -45,47 +68,17 @@ func TestMetricsInFlight(t *testing.T) {
 	m.IncInFlight()
 	m.IncInFlight()
 	m.DecInFlight()
-	if got := m.Snapshot().InFlight; got != 1 {
+	if got := m.InFlight(); got != 1 {
 		t.Fatalf("in_flight = %d, want 1", got)
-	}
-}
-
-func TestMetricsHandlerJSON(t *testing.T) {
-	m := NewMetrics()
-	c := NewCache(8)
-	c.Do("k", func() (interface{}, error) { return 1, nil })
-	c.Do("k", func() (interface{}, error) { return 1, nil })
-	m.ObserveCache(c)
-	m.Observe("GET /api/v1/courses", 200, 2*time.Millisecond)
-
-	rr := httptest.NewRecorder()
-	m.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/metrics", nil))
-	if rr.Code != 200 {
-		t.Fatalf("status %d", rr.Code)
-	}
-	if ct := rr.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type %q", ct)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, rr.Body.Bytes())
-	}
-	if snap.Cache == nil || snap.Cache.Hits != 1 || snap.Cache.Misses != 1 {
-		t.Fatalf("cache stats = %+v", snap.Cache)
-	}
-	if snap.Routes["GET /api/v1/courses"].Count != 1 {
-		t.Fatalf("routes = %+v", snap.Routes)
-	}
-	if snap.UptimeSeconds < 0 {
-		t.Fatalf("uptime = %v", snap.UptimeSeconds)
 	}
 }
 
 func TestQuantileSingleObservation(t *testing.T) {
 	m := NewMetrics()
 	m.Observe("r", 200, 8*time.Millisecond)
-	rs := m.Snapshot().Routes["r"]
-	if rs.P99MS <= 0 || rs.P99MS > 10 {
-		t.Fatalf("p99 = %v, want in (0,10]", rs.P99MS)
-	}
+	routeOf(t, m, "r", func(_ map[int]uint64, h *obs.LatencyHistogram) {
+		if p99 := h.Quantile(0.99); p99 <= 0 || p99 > 0.01 {
+			t.Fatalf("p99 = %v s, want in (0, 0.01]", p99)
+		}
+	})
 }

@@ -178,7 +178,3 @@ func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
-
-func itoa(n int) string { return strconv.Itoa(n) }
-
-func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"csmaterials/internal/obs"
 )
 
 func TestRecoverConvertsPanicTo500JSON(t *testing.T) {
@@ -75,13 +77,13 @@ func TestInstrumentRecordsRoute(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/slow", nil))
-	snap := m.Snapshot()
-	rs := snap.Routes["GET /slow"]
-	if rs.Count != 1 || rs.ByStatus["200"] != 1 {
-		t.Fatalf("route stats = %+v", rs)
-	}
-	if snap.InFlight != 0 {
-		t.Fatalf("in_flight = %d after request", snap.InFlight)
+	routeOf(t, m, "GET /slow", func(byStatus map[int]uint64, latency *obs.LatencyHistogram) {
+		if latency.Count() != 1 || byStatus[200] != 1 {
+			t.Fatalf("route stats: count %d, by status %v", latency.Count(), byStatus)
+		}
+	})
+	if got := m.InFlight(); got != 0 {
+		t.Fatalf("in_flight = %d after request", got)
 	}
 }
 
@@ -95,11 +97,12 @@ func TestInstrumentMetersEscapingPanicAs500(t *testing.T) {
 	if rr.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d", rr.Code)
 	}
-	rs := m.Snapshot().Routes["GET /boom"]
-	if rs.ByStatus["500"] != 1 {
-		t.Fatalf("route stats = %+v", rs)
-	}
-	if got := m.Snapshot().InFlight; got != 0 {
+	routeOf(t, m, "GET /boom", func(byStatus map[int]uint64, _ *obs.LatencyHistogram) {
+		if byStatus[500] != 1 {
+			t.Fatalf("by status = %v", byStatus)
+		}
+	})
+	if got := m.InFlight(); got != 0 {
 		t.Fatalf("in_flight = %d after panic", got)
 	}
 }
