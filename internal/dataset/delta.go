@@ -216,6 +216,7 @@ func applyEvents(base *materials.Repository, events []Event) (*materials.Reposit
 	// validation (their new materials and tags are unproven); untouched
 	// courses are adopted as-is from the base snapshot.
 	repo := materials.NewRepository(ontology.CS2013(), ontology.PDC12())
+	repo.Reserve(base.NumMaterials() + delta.Added)
 	for _, orig := range base.Courses() {
 		if mod, ok := touched[orig.ID]; ok {
 			if err := repo.AddCourse(mod); err != nil {

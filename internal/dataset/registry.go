@@ -192,6 +192,11 @@ func (r *Registry) Put(id string, courses []*materials.Course) (*Snapshot, error
 		return nil, fmt.Errorf("dataset: dataset %q has no courses", id)
 	}
 	repo := materials.NewRepository(ontology.CS2013(), ontology.PDC12())
+	n := 0
+	for _, c := range courses {
+		n += len(c.Materials)
+	}
+	repo.Reserve(n)
 	for _, c := range courses {
 		if err := repo.AddCourse(c); err != nil {
 			return nil, fmt.Errorf("dataset %q: %w", id, err)

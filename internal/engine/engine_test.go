@@ -121,6 +121,11 @@ func TestFakeAnalysisFullLadder(t *testing.T) {
 			t.Fatalf("degraded run %d: v=%v out=%+v err=%v", i, v, out, err)
 		}
 	}
+	// Each stale serve launched a detached refresh. Let them finish
+	// before reasoning about the breaker: a refresh still running after
+	// the heal below would take the half-open probe slot and turn this
+	// test's own post-recovery request away.
+	e.WaitRefreshes()
 
 	// Three consecutive failures opened the breaker; an uncached key now
 	// fails fast with ErrOpen without touching Compute.

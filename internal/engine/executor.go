@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -57,6 +58,10 @@ type Outcome struct {
 	Cache string
 	// Stale marks a degraded response.
 	Stale bool
+	// Entry is the cache entry that answered: the value and its
+	// envelope encoding, made once and shared by every request that
+	// writes it (serving.Entry.Data).
+	Entry serving.Entry
 }
 
 // analysisStats counts per-scope executor activity.
@@ -116,6 +121,10 @@ type Executor struct {
 	staleServe bool
 
 	batchWorkers int
+
+	// refreshes tracks the detached stale-refresh goroutines
+	// (WaitRefreshes).
+	refreshes sync.WaitGroup
 
 	mu         sync.Mutex
 	stats      map[string]*analysisStats
@@ -229,7 +238,7 @@ func (e *Executor) physicalKey(ds string, rev uint64, logical string) string {
 	if e.datasets == nil {
 		return logical
 	}
-	return fmt.Sprintf("%s@%d|%s", ds, rev, logical)
+	return ds + "@" + strconv.FormatUint(rev, 10) + "|" + logical
 }
 
 // DatasetScope maps a physical cache key to the dataset that owns it:
@@ -424,16 +433,16 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 	}
 	guarded := guardedWith(ctx)
 
-	v, served, err := e.cache.DoCtxFn(ctx, key, guarded)
+	ent, served, err := e.cache.DoCtxFn(ctx, key, guarded)
 	if err == nil {
-		out := Outcome{Key: logical, Dataset: ds, Revision: rev, Cache: "miss"}
+		out := Outcome{Key: logical, Dataset: ds, Revision: rev, Cache: "miss", Entry: ent}
 		if served {
 			out.Cache = "hit"
 			e.countHit(scope)
 		} else {
 			e.countMiss(scope)
 		}
-		return v, out, nil
+		return ent.Val, out, nil
 	}
 	if errors.Is(err, context.Canceled) {
 		// Every waiter left; there is nobody to answer and nothing to
@@ -451,16 +460,26 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 			// warm-startable analysis can converge from the last-known-good
 			// result in a probe iteration instead of a cold solve (delta
 			// nil: same revision). Non-warmable analyses ignore the seed.
-			e.seedPrior(key, sv, nil, true)
+			e.seedPrior(key, sv.Val, nil, true)
 			refresh := guardedWith(context.Background()) // lint:detach DESIGN §9: the stale refresh must outlive the request that tripped it
+			e.refreshes.Add(1)
 			go func() {
+				defer e.refreshes.Done()
 				_, _, _ = e.cache.Do(key, func() (interface{}, error) { return refresh(context.Background()) }) // lint:detach same blessed refresh, inside the detached flight
 			}()
-			return sv, Outcome{Key: logical, Dataset: ds, Revision: rev, Cache: "stale", Stale: true}, nil
+			return sv.Val, Outcome{Key: logical, Dataset: ds, Revision: rev, Cache: "stale", Stale: true, Entry: sv}, nil
 		}
 	}
 	return nil, Outcome{}, err
 }
+
+// WaitRefreshes blocks until every detached stale refresh started so
+// far has finished: the WaitGroup the stale path adds each refresh
+// goroutine to. A refresh takes the breaker's half-open probe when it
+// runs, so callers that reason about the breaker (graceful drain,
+// tests) wait here first. Starting a refresh concurrently with a wait
+// that finds none running is the caller's race to avoid.
+func (e *Executor) WaitRefreshes() { e.refreshes.Wait() }
 
 // Warm pre-computes the default dataset's warmable analyses.
 func (e *Executor) Warm(ctx context.Context) error {

@@ -11,14 +11,12 @@ import (
 )
 
 // Repository is the in-memory CS Materials store: courses, their
-// materials, and indexes from curriculum tags to the materials classified
-// against them. It validates every classification against the guidelines
-// it was created with.
+// materials, and an index of materials by ID. It validates every
+// classification against the guidelines it was created with.
 type Repository struct {
 	guidelines []*ontology.Guideline
 	courses    map[string]*Course
 	order      []string // course insertion order, for deterministic listings
-	byTag      map[string][]*Material
 	byMaterial map[string]*Material
 }
 
@@ -31,8 +29,15 @@ func NewRepository(guidelines ...*ontology.Guideline) *Repository {
 	return &Repository{
 		guidelines: guidelines,
 		courses:    map[string]*Course{},
-		byTag:      map[string][]*Material{},
 		byMaterial: map[string]*Material{},
+	}
+}
+
+// Reserve sizes the material index for n materials before a bulk
+// load into an empty repository, so indexing them never regrows it.
+func (r *Repository) Reserve(n int) {
+	if len(r.byMaterial) == 0 {
+		r.byMaterial = make(map[string]*Material, n)
 	}
 }
 
@@ -98,9 +103,6 @@ func (r *Repository) indexCourse(c *Course) {
 	r.order = append(r.order, c.ID)
 	for _, m := range c.Materials {
 		r.byMaterial[m.ID] = m
-		for _, tag := range m.Tags {
-			r.byTag[tag] = append(r.byTag[tag], m)
-		}
 	}
 }
 
@@ -141,10 +143,19 @@ func (r *Repository) Materials() []*Material {
 	return out
 }
 
-// MaterialsWithTag returns the materials classified against the exact tag.
+// MaterialsWithTag returns the materials classified against the exact
+// tag, by ID, once per time the tag appears on each. It scans: no
+// serving path asks, and a tag index would cost every ingest and delta
+// an insert per material tag.
 func (r *Repository) MaterialsWithTag(tag string) []*Material {
-	out := append([]*Material(nil), r.byTag[tag]...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	var out []*Material
+	for _, m := range r.Materials() {
+		for _, t := range m.Tags {
+			if t == tag {
+				out = append(out, m)
+			}
+		}
+	}
 	return out
 }
 

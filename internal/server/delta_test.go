@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -23,20 +25,33 @@ type patchEnv struct {
 // retagBody builds the smallest valid delta for a dataset: retag the
 // first course's first material with its current tags. The revision
 // bumps and the delta is non-empty, but no tag set changes.
-func retagBody(t *testing.T, s *Server, id string) string {
-	t.Helper()
+func retagBody(tb testing.TB, s *Server, id string) string {
+	tb.Helper()
 	snap, ok := s.Datasets().Get(id)
 	if !ok {
-		t.Fatalf("unknown dataset %q", id)
+		tb.Fatalf("unknown dataset %q", id)
 	}
-	c := snap.Repo().Courses()[0]
+	return retagCourseBody(tb, s, id, snap.Repo().Courses()[0].ID)
+}
+
+// retagCourseBody is retagBody for a chosen course.
+func retagCourseBody(tb testing.TB, s *Server, id, course string) string {
+	tb.Helper()
+	snap, ok := s.Datasets().Get(id)
+	if !ok {
+		tb.Fatalf("unknown dataset %q", id)
+	}
+	c := snap.Repo().Course(course)
+	if c == nil {
+		tb.Fatalf("dataset %s has no course %s", id, course)
+	}
 	m := c.Materials[0]
 	raw, err := json.Marshal(PatchRequest{Events: []dataset.Event{{
 		Op: dataset.OpRetag, Course: c.ID, MaterialID: m.ID,
 		Tags: append([]string(nil), m.Tags...),
 	}}})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return string(raw)
 }
@@ -296,5 +311,34 @@ func TestConcurrentPatchVsReadersVsRefresh(t *testing.T) {
 	st := s.Engine().Stats().Refresh["alt"]
 	if st.Delta != patches {
 		t.Errorf("delta refreshes = %d, want %d", st.Delta, patches)
+	}
+}
+
+// BenchmarkDatasetPatch measures one PATCH through the full middleware
+// stack: a one-event retag of an 18-course dataset, which rebuilds the
+// snapshot's repository and migrates the cache.
+func BenchmarkDatasetPatch(b *testing.B) {
+	s, err := NewWithOptions(Options{disableWarmup: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc, err := json.Marshal(dataset.Document{Courses: dataset.Courses()[:18]})
+	if err != nil {
+		b.Fatal(err)
+	}
+	put := httptest.NewRecorder()
+	s.ServeHTTP(put, httptest.NewRequest(http.MethodPut, "/api/v1/datasets/mix", bytes.NewReader(doc)))
+	if put.Code != http.StatusOK {
+		b.Fatalf("PUT: status %d\n%s", put.Code, put.Body.Bytes())
+	}
+	body := []byte(retagBody(b, s, "mix"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPatch, "/api/v1/datasets/mix", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("PATCH: status %d", w.Code)
+		}
 	}
 }

@@ -324,9 +324,13 @@ func (s *Server) spawnBackground(fn func(ctx context.Context)) {
 }
 
 // DrainBackground blocks until all tracked background work (startup and
-// ingest-triggered warmups) has finished. cmd/serve calls it after the
-// HTTP listener has shut down.
-func (s *Server) DrainBackground() { s.bg.Wait() }
+// ingest-triggered warmups, and the executor's detached stale
+// refreshes) has finished. cmd/serve calls it after the HTTP listener
+// has shut down.
+func (s *Server) DrainBackground() {
+	s.bg.Wait()
+	s.exec.WaitRefreshes()
+}
 
 // Cache exposes the result cache (for benchmarks and tests).
 func (s *Server) Cache() *serving.Cache { return s.cache }
@@ -482,12 +486,6 @@ func (s *Server) handleLegacy(w http.ResponseWriter, r *http.Request) {
 
 // --- Envelope ------------------------------------------------------------
 
-// envelope is the uniform success shape of every v1 response.
-type envelope struct {
-	Data interface{} `json:"data"`
-	Meta interface{} `json:"meta"`
-}
-
 // ListMeta is the meta block of paginated list endpoints.
 type ListMeta struct {
 	Total  int `json:"total"`
@@ -527,11 +525,22 @@ type BatchMeta struct {
 	Workers int `json:"workers"`
 }
 
+// writeData writes the {"data", "meta"} envelope of a value encoded on
+// the spot (lists, search pages, dataset and health documents).
 func writeData(w http.ResponseWriter, status int, data, meta interface{}) {
+	writeEntry(w, status, serving.Entry{Val: data}, meta)
+}
+
+// writeEntry is the one envelope writer, the uniform success shape of
+// every v1 response: {"data": ..., "meta": ...}. The data member is
+// e.Data: for a cached result, the bytes encoded once and shared by
+// every request that writes it; for any other entry, encoded on the
+// spot. Meta is encoded per request; a nil meta is written as {}.
+func writeEntry(w http.ResponseWriter, status int, e serving.Entry, meta interface{}) {
 	if meta == nil {
 		meta = struct{}{}
 	}
-	serving.WriteJSON(w, status, envelope{Data: data, Meta: meta})
+	serving.WriteEnvelope(w, status, e, meta)
 }
 
 // ErrorBody is the uniform error shape.
@@ -562,23 +571,23 @@ func requestDataset(r *http.Request) (ds string, scoped bool) {
 }
 
 // execAnalysis executes a registered analysis against ds through the
-// engine's serving ladder and maps errors to HTTP. It returns (value,
-// outcome, true) when the caller should write the value; on false the
+// engine's serving ladder and maps errors to HTTP. It returns (outcome,
+// true) when the caller should write the outcome's entry; on false the
 // error response has already been written (or, for a disconnected
 // client, suppressed).
-func (s *Server) execAnalysis(w http.ResponseWriter, r *http.Request, ds, name string, values url.Values) (interface{}, engine.Outcome, bool) {
+func (s *Server) execAnalysis(w http.ResponseWriter, r *http.Request, ds, name string, values url.Values) (engine.Outcome, bool) {
 	s.touchDataset(ds)
-	v, out, err := s.exec.RunOn(r.Context(), ds, name, values)
+	_, out, err := s.exec.RunOn(r.Context(), ds, name, values)
 	if err == nil {
 		if out.Stale {
 			w.Header().Set("X-Served-Stale", "true")
 		}
-		return v, out, true
+		return out, true
 	}
 	if errors.Is(err, context.Canceled) {
 		// The client disconnected; there is nobody to answer. A flight
 		// with remaining waiters finishes for them and is cached.
-		return nil, engine.Outcome{}, false
+		return engine.Outcome{}, false
 	}
 	switch {
 	case errors.Is(err, resilience.ErrOpen):
@@ -591,24 +600,25 @@ func (s *Server) execAnalysis(w http.ResponseWriter, r *http.Request, ds, name s
 		ee := engine.AsError(err)
 		writeError(w, ee.Status, ee.Code, "%s", ee.Message)
 	}
-	return nil, engine.Outcome{}, false
+	return engine.Outcome{}, false
 }
 
 // runAnalysis executes a registered analysis for the request's dataset
 // and shapes the meta block for the route family: plain CacheMeta on
 // the un-scoped aliases (byte-identical to the pre-datasets API),
-// DatasetCacheMeta on scoped routes.
-func (s *Server) runAnalysis(w http.ResponseWriter, r *http.Request, name string, values url.Values) (interface{}, interface{}, bool) {
+// DatasetCacheMeta on scoped routes. The entry is the cache's, so
+// writing it reuses the result's one encoding.
+func (s *Server) runAnalysis(w http.ResponseWriter, r *http.Request, name string, values url.Values) (serving.Entry, interface{}, bool) {
 	ds, scoped := requestDataset(r)
-	v, out, ok := s.execAnalysis(w, r, ds, name, values)
+	out, ok := s.execAnalysis(w, r, ds, name, values)
 	if !ok {
-		return nil, nil, false
+		return serving.Entry{}, nil, false
 	}
 	cm := CacheMeta{Cache: out.Cache, Key: out.Key, Stale: out.Stale}
 	if scoped {
-		return v, DatasetCacheMeta{CacheMeta: cm, Dataset: out.Dataset, Revision: out.Revision}, true
+		return out.Entry, DatasetCacheMeta{CacheMeta: cm, Dataset: out.Dataset, Revision: out.Revision}, true
 	}
-	return v, cm, true
+	return out.Entry, cm, true
 }
 
 // handleAnalysis is the shared GET handler behind every analysis route,
@@ -619,11 +629,11 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request, name str
 	if s.fleet != nil && s.fleetAnalysis(w, r, name, values) {
 		return
 	}
-	v, meta, ok := s.runAnalysis(w, r, name, values)
+	e, meta, ok := s.runAnalysis(w, r, name, values)
 	if !ok {
 		return
 	}
-	writeData(w, http.StatusOK, v, meta)
+	writeEntry(w, http.StatusOK, e, meta)
 }
 
 // --- Batch ---------------------------------------------------------------
@@ -948,11 +958,11 @@ func (s *Server) handleCourseView(w http.ResponseWriter, r *http.Request) {
 	}
 	values := r.URL.Query()
 	values.Set("course", c.ID)
-	v, m, ok := s.runAnalysis(w, r, view, values)
+	e, m, ok := s.runAnalysis(w, r, view, values)
 	if !ok {
 		return
 	}
-	writeData(w, http.StatusOK, v, m)
+	writeEntry(w, http.StatusOK, e, m)
 }
 
 // --- Search --------------------------------------------------------------
@@ -1041,11 +1051,13 @@ type FigureResponse struct {
 // SVG body from the cached artifact.
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	values := url.Values{"id": []string{r.PathValue("id")}}
-	v, m, ok := s.runAnalysis(w, r, "figures", values)
+	e, m, ok := s.runAnalysis(w, r, "figures", values)
 	if !ok {
 		return
 	}
-	art := v.(*core.Artifact)
+	// The cached bytes encode the artifact itself (what GET /figures?id=
+	// serves); this route's payload is a different shape, encoded here.
+	art := e.Val.(*core.Artifact)
 	if svg := r.URL.Query().Get("svg"); svg != "" {
 		body, ok := art.SVGs[svg]
 		if !ok {

@@ -72,9 +72,40 @@ func newScopeStore() *scopeStore {
 	}
 }
 
+// Entry is one cached result: the value and its encoding as the
+// "data" member of a response envelope (EncodeData form). The encoding
+// is made at most once, by the first writer that asks for it (Data),
+// and is shared by every copy of the entry: the callers of the flight
+// that computed it, later hits, the stale copy, and the entry Rekey
+// migrates to the next revision. A value nobody serves (a warm-up, a
+// batch item, a refresh) is never encoded. The zero Entry and entries
+// built outside the cache encode their value on every call.
+type Entry struct {
+	Val interface{}
+	enc *encoding
+}
+
+// encoding is an Entry's lazily made, shared envelope encoding.
+type encoding struct {
+	once sync.Once
+	data []byte
+	err  error
+}
+
+// Data returns the entry's value encoded as an envelope member,
+// encoding it on the first call for a cached entry and returning the
+// same bytes on every later one. Callers must not modify the bytes.
+func (e Entry) Data() ([]byte, error) {
+	if e.enc == nil {
+		return EncodeData(e.Val)
+	}
+	e.enc.once.Do(func() { e.enc.data, e.enc.err = EncodeData(e.Val) })
+	return e.enc.data, e.enc.err
+}
+
 type cacheEntry struct {
 	key string
-	val interface{}
+	Entry
 }
 
 // NewCache returns a cache holding at most capacity fresh entries and
@@ -181,8 +212,8 @@ func (c *Cache) enforceLocked(scope string, st *scopeStore) {
 	}
 }
 
-// Get returns the cached value for key, marking it most recently used.
-func (c *Cache) Get(key string) (interface{}, bool) {
+// Get returns the cached entry for key, marking it most recently used.
+func (c *Cache) Get(key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, st := c.scopeLocked(key)
@@ -190,42 +221,42 @@ func (c *Cache) Get(key string) (interface{}, bool) {
 		st.ll.MoveToFront(el)
 		touchStale(st, key) // keep the stale copy as warm as the fresh one
 		st.hits++
-		return el.Value.(*cacheEntry).val, true
+		return el.Value.(*cacheEntry).Entry, true
 	}
 	st.misses++
-	return nil, false
+	return Entry{}, false
 }
 
-// put stores key→val in its scope's fresh LRU and stale store,
+// put stores key→e in its scope's fresh LRU and stale store,
 // evicting least-recently-used entries of THAT SCOPE when over its
 // budget.
-func (c *Cache) put(key string, val interface{}) {
+func (c *Cache) put(key string, e Entry) {
 	if c.capacity <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	scope, st := c.scopeLocked(key)
-	putStale(st, key, val)
+	putStale(st, key, e)
 	if el, ok := st.items[key]; ok {
-		el.Value.(*cacheEntry).val = val
+		el.Value.(*cacheEntry).Entry = e
 		st.ll.MoveToFront(el)
 		c.enforceLocked(scope, st)
 		return
 	}
-	st.items[key] = st.ll.PushFront(&cacheEntry{key: key, val: val})
+	st.items[key] = st.ll.PushFront(&cacheEntry{key: key, Entry: e})
 	c.enforceLocked(scope, st)
 }
 
-// putStale upserts key→val into the scope's stale store; callers hold
+// putStale upserts key→e into the scope's stale store; callers hold
 // c.mu (the bound is enforced by enforceLocked).
-func putStale(st *scopeStore, key string, val interface{}) {
+func putStale(st *scopeStore, key string, e Entry) {
 	if el, ok := st.staleItems[key]; ok {
-		el.Value.(*cacheEntry).val = val
+		el.Value.(*cacheEntry).Entry = e
 		st.staleLL.MoveToFront(el)
 		return
 	}
-	st.staleItems[key] = st.staleLL.PushFront(&cacheEntry{key: key, val: val})
+	st.staleItems[key] = st.staleLL.PushFront(&cacheEntry{key: key, Entry: e})
 }
 
 // touchStale marks key's stale copy recently used; callers hold c.mu.
@@ -235,28 +266,29 @@ func touchStale(st *scopeStore, key string) {
 	}
 }
 
-// Stale returns the last-known-good value for key from its scope's
+// Stale returns the last-known-good entry for key from its scope's
 // stale store, counting a stale serve when found. Callers use it as the
 // degraded fallback after Do failed (or was rejected by an open
 // circuit); a found entry is marked recently used so actively
 // degraded keys are the last to fall out.
-func (c *Cache) Stale(key string) (interface{}, bool) {
+func (c *Cache) Stale(key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, st := c.scopeLocked(key)
 	if el, ok := st.staleItems[key]; ok {
 		st.staleLL.MoveToFront(el)
 		st.staleServed++
-		return el.Value.(*cacheEntry).val, true
+		return el.Value.(*cacheEntry).Entry, true
 	}
-	return nil, false
+	return Entry{}, false
 }
 
-// DoCtxFn returns the cached value for key or computes it,
+// DoCtxFn returns the cached entry for key or computes it,
 // deduplicating concurrent computations for the same key through the
-// singleflight group. The boolean reports whether the value was served
-// without running compute in this call (a cache hit or a shared
-// flight).
+// singleflight group. Every caller sharing a flight receives the same
+// entry, and with it the one encoding of its value (Entry.Data). The
+// boolean reports whether the value was served without running compute
+// in this call (a cache hit or a shared flight).
 //
 // The compute function receives the FLIGHT context, not any one
 // caller's: while at least one caller is still waiting the flight stays
@@ -272,11 +304,11 @@ func (c *Cache) Stale(key string) (interface{}, bool) {
 // initiator's trace (joiners' compute closures never run), and a
 // caller that shared another flight records a singleflight-join span
 // covering its wait. Untraced contexts skip all of it.
-func (c *Cache) DoCtxFn(ctx context.Context, key string, compute func(context.Context) (interface{}, error)) (interface{}, bool, error) {
+func (c *Cache) DoCtxFn(ctx context.Context, key string, compute func(context.Context) (interface{}, error)) (Entry, bool, error) {
 	lookup := obs.StartSpan(ctx, "cache-lookup")
-	if v, ok := c.Get(key); ok {
+	if e, ok := c.Get(key); ok {
 		lookup.EndAs("cache-hit")
-		return v, true, nil
+		return e, true, nil
 	}
 	lookup.EndAs("cache-miss")
 	sfStart := obs.Now(ctx)
@@ -285,13 +317,15 @@ func (c *Cache) DoCtxFn(ctx context.Context, key string, compute func(context.Co
 		// flight, so recording into ctx's trace is recording the lead.
 		lead := obs.StartSpan(ctx, "singleflight-lead")
 		v, err := compute(fctx)
+		var e Entry
 		if err == nil {
 			st := obs.StartSpan(ctx, "store")
-			c.put(key, v)
+			e = Entry{Val: v, enc: &encoding{}}
+			c.put(key, e)
 			st.End()
 		}
 		lead.End()
-		return v, err
+		return e, err
 	})
 	if sharedFlight {
 		obs.AddSpan(ctx, "singleflight-join", sfStart)
@@ -299,14 +333,19 @@ func (c *Cache) DoCtxFn(ctx context.Context, key string, compute func(context.Co
 		c.shared++
 		c.mu.Unlock()
 	}
-	return v, sharedFlight, err
+	if err != nil {
+		return Entry{}, sharedFlight, err
+	}
+	return v.(Entry), sharedFlight, nil
 }
 
-// DoCtx is DoCtxFn for computations that do not take a context: the
-// flight is fully detached and always runs to completion once started,
-// even if every waiting caller's ctx is cancelled first.
+// DoCtx is DoCtxFn for computations that do not take a context,
+// returning the value alone: the flight is fully detached and always
+// runs to completion once started, even if every waiting caller's ctx
+// is cancelled first.
 func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (interface{}, error)) (interface{}, bool, error) {
-	return c.DoCtxFn(ctx, key, func(context.Context) (interface{}, error) { return compute() })
+	e, served, err := c.DoCtxFn(ctx, key, func(context.Context) (interface{}, error) { return compute() })
+	return e.Val, served, err
 }
 
 // Do is DoCtx with a background context.
@@ -423,7 +462,7 @@ func (c *Cache) rekeyList(scope string, st *scopeStore, stale bool, mapper func(
 			ll.Remove(el)
 			delete(items, e.key)
 			*countDrop++
-			*dropped = append(*dropped, DroppedEntry{Key: e.key, Val: e.val, Stale: stale})
+			*dropped = append(*dropped, DroppedEntry{Key: e.key, Val: e.Val, Stale: stale})
 		default:
 			target := scope
 			if c.scopeOf != nil {
@@ -446,7 +485,7 @@ func (c *Cache) rekeyList(scope string, st *scopeStore, stale bool, mapper func(
 				ll.Remove(el)
 				delete(items, e.key)
 				*countDrop++
-				*dropped = append(*dropped, DroppedEntry{Key: e.key, Val: e.val, Stale: stale})
+				*dropped = append(*dropped, DroppedEntry{Key: e.key, Val: e.Val, Stale: stale})
 				break
 			}
 			delete(items, e.key)

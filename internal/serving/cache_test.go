@@ -222,8 +222,8 @@ func TestCacheStaleSurvivesEviction(t *testing.T) {
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b still fresh after eviction")
 	}
-	if v, ok := c.Stale("b"); !ok || v.(string) != "val-b" {
-		t.Fatalf("stale b = %v, %v", v, ok)
+	if e, ok := c.Stale("b"); !ok || e.Val.(string) != "val-b" {
+		t.Fatalf("stale b = %v, %v", e.Val, ok)
 	}
 	if _, ok := c.Stale("a"); ok {
 		t.Fatal("a survived stale eviction out of order (want oldest-first)")
@@ -271,8 +271,8 @@ func TestCacheResetKeepsStale(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("fresh entry survived Reset")
 	}
-	if v, ok := c.Stale("k"); !ok || v.(int) != 1 {
-		t.Fatalf("stale entry lost on Reset: %v, %v", v, ok)
+	if e, ok := c.Stale("k"); !ok || e.Val.(int) != 1 {
+		t.Fatalf("stale entry lost on Reset: %v, %v", e.Val, ok)
 	}
 }
 
@@ -593,7 +593,7 @@ func TestRekeyMigratesAndDrops(t *testing.T) {
 			t.Errorf("dropped entry = %+v", d)
 		}
 	}
-	if v, ok := c.Get("ds@2|keep|p"); !ok || v.(string) != "val-ds@1|keep|p" {
+	if e, ok := c.Get("ds@2|keep|p"); !ok || e.Val.(string) != "val-ds@1|keep|p" {
 		t.Error("migrated entry not reachable under new key")
 	}
 	if _, ok := c.Get("ds@1|keep|p"); ok {
@@ -628,7 +628,7 @@ func TestRekeyCollisionKeepsExisting(t *testing.T) {
 	if len(dropped) != 2 { // fresh + stale copies of "a"
 		t.Fatalf("dropped = %+v", dropped)
 	}
-	if v, _ := c.Get("b"); v.(string) != "from-b" {
+	if e, _ := c.Get("b"); e.Val.(string) != "from-b" {
 		t.Error("existing target must win the collision")
 	}
 }
@@ -655,7 +655,7 @@ func TestRekeyAcrossScopes(t *testing.T) {
 	if sum.MovedFresh != 1 || sum.MovedStale != 1 {
 		t.Fatalf("cross-scope summary = %+v", sum)
 	}
-	if v, ok := c.Get("s2|k"); !ok || v.(string) != "v" {
+	if e, ok := c.Get("s2|k"); !ok || e.Val.(string) != "v" {
 		t.Error("entry not reachable in the new scope")
 	}
 	st := c.Stats()

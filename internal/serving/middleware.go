@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"encoding/json"
 	"log"
 	"math"
 	"net/http"
@@ -168,13 +167,4 @@ func RetryAfterSeconds(d time.Duration) string {
 		secs = 1
 	}
 	return strconv.Itoa(secs)
-}
-
-// WriteJSON writes v as indented JSON with the right content type.
-func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

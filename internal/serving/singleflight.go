@@ -1,9 +1,14 @@
 // Package serving is the production-hardening layer between the HTTP
 // handlers and the analysis packages: a keyed result cache with
 // singleflight deduplication and a stale last-known-good store, the
-// per-route metrics registry, and the middleware stack (panic
-// recovery, access logs, instrumentation, load shedding) that
-// cmd/serve wraps around the API.
+// envelope writer, the per-route metrics registry, and the middleware
+// stack (panic recovery, access logs, instrumentation, load shedding)
+// that cmd/serve wraps around the API.
+//
+// A cache Entry carries its value's response encoding, made once by
+// the first writer and shared by every copy of the entry, so
+// WriteEnvelope answers a warm hit by writing prepared bytes plus a
+// per-request meta block, byte-identical to WriteJSON.
 //
 // The dataset behind the analyses is deterministic, so cached results
 // never go stale on their own: the fresh cache is bounded by size only
@@ -15,7 +20,7 @@
 // The cache participates in request tracing (internal/obs): when a
 // request context carries a trace, Cache.DoCtxFn records
 // cache-hit/cache-miss, singleflight-lead/-join, and store spans, and
-// Metrics.Export exposes the raw per-route histograms that the
+// Metrics.EachRoute exposes the raw per-route histograms that the
 // server's Prometheus endpoint renders. Untraced contexts pay one nil
 // context lookup and nothing else.
 package serving

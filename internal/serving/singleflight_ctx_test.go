@@ -207,7 +207,7 @@ func TestCacheDoCtxFnCancellation(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		v, cached, err := c.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) { return "fresh", nil })
-		if err == nil && v.(string) == "fresh" {
+		if err == nil && v.Val.(string) == "fresh" {
 			if cached {
 				t.Fatal("aborted flight left a cached value")
 			}
@@ -223,7 +223,7 @@ func TestCacheDoCtxFnCancellation(t *testing.T) {
 	v, cached, err := c.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) {
 		return nil, errors.New("must be served from cache")
 	})
-	if err != nil || !cached || v.(string) != "fresh" {
+	if err != nil || !cached || v.Val.(string) != "fresh" {
 		t.Fatalf("cache hit: v=%v cached=%v err=%v", v, cached, err)
 	}
 }
