@@ -169,9 +169,15 @@ func (Audit) AffectedBy(paramKey string, d *dataset.Delta) bool {
 }
 
 // AffectedBy scopes catalog recommendations to their course (the key
-// is "<course>|<limit>"; the public catalog itself is static).
+// is "<course>|<limit>"; the public catalog itself is static). A course
+// ID may itself contain '|', so the course is everything before the
+// last separator.
 func (PDCMaterials) AffectedBy(paramKey string, d *dataset.Delta) bool {
-	return d == nil || d.TouchesCourse(paramGroup(paramKey))
+	course := paramKey
+	if i := strings.LastIndexByte(paramKey, '|'); i >= 0 {
+		course = paramKey[:i]
+	}
+	return d == nil || d.TouchesCourse(course)
 }
 
 // AffectedBy: figures render the built-in seed corpus, not the

@@ -134,12 +134,9 @@ func (o DeltaOutcome) Invalidated() int { return o.InvalidatedFresh + o.Invalida
 // are dropped, and dropped values of warm-startable analyses are
 // retained as warm-start priors for the recompute that will replace
 // them. Entries of older revisions are dropped. Snapshots without a
-// delta (full PUT re-ingest, LoadDir) degrade to RefreshFull. No-op in
-// single-repo mode.
+// delta (full PUT re-ingest, LoadDir) degrade to RefreshFull, which is
+// what a PUT's invalidation count reports.
 func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snapshot) DeltaOutcome {
-	if e.datasets == nil || e.cache == nil {
-		return DeltaOutcome{}
-	}
 	d := snap.Delta()
 	if d == nil {
 		return e.RefreshFull(ctx, ds, snap.Revision())
@@ -212,12 +209,9 @@ func (e *Executor) ApplyDelta(ctx context.Context, ds string, snap *dataset.Snap
 // csm_refresh_* counters. It is the metrics-aware face of
 // InvalidateDataset, used by the full re-ingest path.
 func (e *Executor) RefreshFull(ctx context.Context, ds string, keep uint64) DeltaOutcome {
-	if e.datasets == nil || e.cache == nil {
-		return DeltaOutcome{Full: true}
-	}
 	start := obs.Now(ctx)
 	e.dropPriors(ds)
-	fresh, stale := e.invalidateDatasetDetail(ds, keep)
+	fresh, stale := e.InvalidateDataset(ds, keep)
 	obs.AddSpan(ctx, "refresh-full", start)
 	out := DeltaOutcome{Full: true, InvalidatedFresh: fresh, InvalidatedStale: stale}
 	e.countRefresh(ds, false, out)

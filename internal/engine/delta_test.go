@@ -335,7 +335,7 @@ func TestApplyDeltaDropsOlderRevisionKeys(t *testing.T) {
 		"default@1|" + agreementOut.Key: rev1Agreement,
 	} {
 		val := val
-		if _, _, err := cache.Do(key, func() (interface{}, error) { return val, nil }); err != nil {
+		if _, _, err := cache.DoCtxFn(context.Background(), key, func(context.Context) (interface{}, error) { return val, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,5 +370,58 @@ func TestApplyDeltaDropsOlderRevisionKeys(t *testing.T) {
 		if mustJSON(t, got) != mustJSON(t, cold) {
 			t.Errorf("%s at revision 3 differs from a cold recompute", c.name)
 		}
+	}
+}
+
+// TestApplyDeltaPDCMaterialsCourseWithSeparator: the pdcmaterials key
+// is "<course>|<limit>" and a course ID may itself contain '|'. A delta
+// that changes such a course must drop its cached recommendations, not
+// migrate them under the new revision.
+func TestApplyDeltaPDCMaterialsCourseWithSeparator(t *testing.T) {
+	reg, err := analyses.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	datasets := dataset.NewRegistry(nil)
+	seed := datasets.Default().Repo().Courses()
+	piped := seed[0].Clone()
+	piped.ID = "x|y"
+	if _, err := datasets.Put("pipes", []*materials.Course{piped, seed[1], seed[2]}); err != nil {
+		t.Fatal(err)
+	}
+	exec := engine.NewExecutor(reg, engine.ExecutorOptions{Datasets: datasets, Cache: serving.NewCache(64)})
+	q := url.Values{"course": {piped.ID}}
+	run := func(e *engine.Executor) (interface{}, engine.Outcome) {
+		t.Helper()
+		v, out, err := e.RunOn(context.Background(), "pipes", "pdcmaterials", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, out
+	}
+	before, _ := run(exec)
+
+	var events []dataset.Event
+	for _, m := range piped.Materials[1:] {
+		events = append(events, dataset.Event{Op: dataset.OpRemove, Course: piped.ID, MaterialID: m.ID})
+	}
+	snap, err := datasets.Apply("pipes", events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := exec.ApplyDelta(context.Background(), "pipes", snap); out.Migrated != 0 {
+		t.Errorf("ApplyDelta migrated %d entries of the changed course, want 0", out.Migrated)
+	}
+
+	got, out := run(exec)
+	if out.Cache != "miss" {
+		t.Errorf("after the delta: cache = %q, want miss", out.Cache)
+	}
+	cold, _ := run(engine.NewExecutor(reg, engine.ExecutorOptions{Datasets: datasets, Cache: serving.NewCache(64)}))
+	if mustJSON(t, cold) == mustJSON(t, before) {
+		t.Fatal("the delta did not change the answer; the check would prove nothing")
+	}
+	if mustJSON(t, got) != mustJSON(t, cold) {
+		t.Error("pdcmaterials after the delta differs from a cold recompute")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"csmaterials/internal/dataset"
 	"csmaterials/internal/engine"
 	"csmaterials/internal/materials"
 	"csmaterials/internal/resilience"
@@ -69,11 +70,13 @@ func (f *fakeAnalysis) Compute(ctx context.Context, repo *materials.Repository, 
 func (f *fakeAnalysis) WarmParams() []engine.Params { return f.warm }
 
 // newFakeExecutor builds an executor over one fake analysis with the
-// full ladder enabled: cache, breakers (threshold 3), stale serving.
+// full ladder enabled: a registry holding only the default dataset,
+// cache, breakers (threshold 3), stale serving.
 func newFakeExecutor(f *fakeAnalysis) (*engine.Executor, *serving.Cache, *resilience.BreakerSet) {
 	cache := serving.NewCache(16)
 	breakers := resilience.NewBreakerSet(3, time.Minute)
 	e := engine.NewExecutor(engine.NewRegistry(f), engine.ExecutorOptions{
+		Datasets:   dataset.NewRegistry(nil),
 		Cache:      cache,
 		Breakers:   breakers,
 		StaleServe: true,
@@ -271,7 +274,7 @@ func TestCancellationStopsCompute(t *testing.T) {
 	if st := breakers.Get("fake").Stats(); st.State != "closed" {
 		t.Fatalf("breaker after cancellation = %q", st.State)
 	}
-	if _, ok := cache.Get("fake|a"); ok {
+	if _, ok := cache.Get("default@1|fake|a"); ok {
 		t.Fatal("cancelled compute was cached")
 	}
 }
@@ -282,7 +285,7 @@ func TestWarm(t *testing.T) {
 	f := newFake("fake")
 	f.warm = []engine.Params{fakeParams{key: "warmed"}}
 	e, _, _ := newFakeExecutor(f)
-	if err := e.Warm(context.Background()); err != nil {
+	if err := e.WarmDataset(context.Background(), dataset.DefaultID); err != nil {
 		t.Fatal(err)
 	}
 	if _, out, _ := e.Run(context.Background(), "fake", vals("warmed")); out.Cache != "hit" {
@@ -295,8 +298,8 @@ func TestWarm(t *testing.T) {
 		return nil, fmt.Errorf("warm exploded")
 	})
 	e2, _, _ := newFakeExecutor(broken)
-	if err := e2.Warm(context.Background()); err == nil {
-		t.Fatal("Warm swallowed the compute failure")
+	if err := e2.WarmDataset(context.Background(), dataset.DefaultID); err == nil {
+		t.Fatal("WarmDataset swallowed the compute failure")
 	}
 }
 
@@ -363,5 +366,75 @@ func TestErrorMapping(t *testing.T) {
 	// ErrOpen must not feed back into the breaker that raised it.
 	if engine.IsServerFailure(resilience.ErrOpen) {
 		t.Fatal("ErrOpen classified as failure")
+	}
+}
+
+// TestDeleteDuringComputeLeavesNoServingState: a run that resolved a
+// dataset before its DELETE — a request's own flight, or the detached
+// refresh a stale serve launched — completes after
+// DropDatasetServingState swept the dataset. Its late store and counts
+// must not bring the deleted dataset's cache scope or stats back.
+func TestDeleteDuringComputeLeavesNoServingState(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// failFirst makes the request's own compute fail so it is
+		// answered stale, leaving the blocked compute to the detached
+		// refresh.
+		failFirst bool
+	}{{"request flight", false}, {"stale refresh", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFake("fake")
+			datasets := dataset.NewRegistry(nil)
+			if _, err := datasets.Put("alt", dataset.Repository().Courses()); err != nil {
+				t.Fatal(err)
+			}
+			cache := serving.NewCache(16)
+			e := engine.NewExecutor(engine.NewRegistry(f), engine.ExecutorOptions{
+				Datasets: datasets, Cache: cache, StaleServe: true,
+			})
+			ctx := context.Background()
+			if tc.failFirst {
+				if _, _, err := e.RunOn(ctx, "alt", "fake", vals("a")); err != nil {
+					t.Fatal(err)
+				}
+				cache.Reset() // keep only the stale copy
+			}
+			started, release := make(chan struct{}), make(chan struct{})
+			var calls int32
+			f.set(func(ctx context.Context, p fakeParams) (interface{}, error) {
+				if atomic.AddInt32(&calls, 1) == 1 && tc.failFirst {
+					return nil, fmt.Errorf("backend exploded")
+				}
+				close(started)
+				<-release
+				return "value:" + p.key, nil
+			})
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := e.RunOn(ctx, "alt", "fake", vals("a"))
+				done <- err
+			}()
+			<-started
+			if err := datasets.Delete("alt"); err != nil {
+				t.Fatal(err)
+			}
+			e.DropDatasetServingState("alt")
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			e.WaitRefreshes()
+
+			if sc, ok := cache.Stats().Scopes["alt"]; ok {
+				t.Errorf("deleted dataset's cache scope came back: %+v", sc)
+			}
+			st := e.Stats()
+			if a, ok := st.Analyses["alt/fake"]; ok {
+				t.Errorf("deleted dataset's executor stats came back: %+v", a)
+			}
+			if r, ok := st.Refresh["alt"]; ok {
+				t.Errorf("deleted dataset's refresh stats came back: %+v", r)
+			}
+		})
 	}
 }

@@ -20,14 +20,11 @@ import (
 
 // ExecutorOptions configures an Executor.
 type ExecutorOptions struct {
-	// Repo is the course repository handed to every Compute in
-	// single-repository mode. Ignored when Datasets is set.
-	Repo *materials.Repository
-	// Datasets, when non-nil, puts the executor in multi-dataset mode:
-	// every run resolves its repository through the registry, cache
-	// keys gain a "<dataset>@<revision>|" generation prefix, and
-	// breakers, stats, and fault labels partition per
-	// (dataset, analysis).
+	// Datasets is the dataset registry; required. Every run resolves
+	// its repository through it, cache keys carry a
+	// "<dataset>@<revision>|" generation prefix, and breakers, stats,
+	// and fault labels partition per (dataset, analysis). A CLI that
+	// serves only the seed corpus passes dataset.NewRegistry(nil).
 	Datasets *dataset.Registry
 	// Cache is the result cache + singleflight group; required.
 	Cache *serving.Cache
@@ -47,11 +44,11 @@ type Outcome struct {
 	// Key is the logical cache key, "<name>|<params.CacheKey()>" — the
 	// client-facing identity of the computation, identical across
 	// datasets and revisions. The physical cache key adds the
-	// "<dataset>@<revision>|" generation prefix in multi-dataset mode.
+	// "<dataset>@<revision>|" generation prefix.
 	Key string
 	// Dataset is the dataset the computation resolved against.
 	Dataset string
-	// Revision is the dataset revision served (0 in single-repo mode).
+	// Revision is the dataset revision served.
 	Revision uint64
 	// Cache is "hit" (retained entry or shared flight), "miss" (this
 	// call computed), or "stale" (degraded last-known-good serve).
@@ -73,11 +70,10 @@ type analysisStats struct {
 	misses      uint64
 }
 
-// AnalysisStats is the JSON form of one scope's executor counters. In
-// multi-dataset mode the map key is the scope name: the bare analysis
-// name for the default dataset, "<dataset>/<analysis>" otherwise — so
-// per-dataset serving behaviour is separable in /debug/metrics and
-// /metrics.
+// AnalysisStats is the JSON form of one scope's executor counters. The
+// map key is the scope name: the bare analysis name for the default
+// dataset, "<dataset>/<analysis>" otherwise — so per-dataset serving
+// behaviour is separable in /debug/metrics and /metrics.
 type AnalysisStats struct {
 	Computes    uint64 `json:"computes"`
 	Failures    uint64 `json:"failures"`
@@ -105,15 +101,13 @@ type Stats struct {
 // CLIs) goes through the same entry points, so the semantics of a
 // cache key, a breaker, or a stale serve cannot diverge per caller.
 //
-// In multi-dataset mode (ExecutorOptions.Datasets) the ladder is
-// partitioned per dataset: RunOn/RunParamsOn resolve a snapshot from
-// the registry, physical cache keys carry the snapshot's revision (so
-// an ingest can never race an in-flight compute into a torn or
-// cross-revision read), and breakers/stats/fault labels are scoped
-// "<dataset>/<analysis>" for non-default datasets.
+// The ladder is partitioned per dataset: RunOn/RunParamsOn resolve a
+// snapshot from the registry, physical cache keys carry the snapshot's
+// revision (so an ingest can never race an in-flight compute into a
+// torn or cross-revision read), and breakers/stats/fault labels are
+// scoped "<dataset>/<analysis>" for non-default datasets.
 type Executor struct {
 	reg        *Registry
-	repo       *materials.Repository
 	datasets   *dataset.Registry
 	cache      *serving.Cache
 	breakers   *resilience.BreakerSet
@@ -142,7 +136,6 @@ type Executor struct {
 func NewExecutor(reg *Registry, o ExecutorOptions) *Executor {
 	e := &Executor{
 		reg:          reg,
-		repo:         o.Repo,
 		datasets:     o.Datasets,
 		cache:        o.Cache,
 		breakers:     o.Breakers,
@@ -158,33 +151,15 @@ func NewExecutor(reg *Registry, o ExecutorOptions) *Executor {
 			e.breakers.Get(name)
 		}
 	}
-	if e.datasets != nil && e.cache != nil {
-		// Physical keys carry the dataset generation prefix, so the
-		// cache can partition its budget per dataset: one tenant's fill
-		// evicts only that tenant's entries.
-		e.cache.SetScopeFunc(DatasetScope)
-	}
+	// Physical keys carry the dataset generation prefix, so the cache
+	// can partition its budget per dataset: one tenant's fill evicts
+	// only that tenant's entries.
+	e.cache.SetScopeFunc(datasetScope)
 	return e
 }
 
 // Registry exposes the analysis registry.
 func (e *Executor) Registry() *Registry { return e.reg }
-
-// Datasets exposes the dataset registry (nil in single-repo mode).
-func (e *Executor) Datasets() *dataset.Registry { return e.datasets }
-
-// Repo exposes the repository analyses compute over: the configured
-// single repository, or the default dataset's current snapshot in
-// multi-dataset mode.
-func (e *Executor) Repo() *materials.Repository {
-	if e.datasets != nil {
-		if snap, ok := e.datasets.Get(dataset.DefaultID); ok {
-			return snap.Repo()
-		}
-		return nil
-	}
-	return e.repo
-}
 
 // scopeName is the per-(dataset, analysis) identifier used for
 // breakers, executor stats, and fault labels. The default dataset
@@ -210,14 +185,8 @@ func SplitScope(scope string) (ds, analysis string) {
 }
 
 // resolve maps a dataset ID to the repository and revision a run
-// computes over. Single-repo executors only know the default dataset.
+// computes over.
 func (e *Executor) resolve(ds string) (*materials.Repository, uint64, error) {
-	if e.datasets == nil {
-		if ds != dataset.DefaultID {
-			return nil, 0, Errorf(404, "not_found", "unknown dataset %q", ds)
-		}
-		return e.repo, 0, nil
-	}
 	if err := dataset.ValidateID(ds); err != nil {
 		return nil, 0, Errorf(400, "bad_request", "%s", err.Error())
 	}
@@ -229,40 +198,24 @@ func (e *Executor) resolve(ds string) (*materials.Repository, uint64, error) {
 }
 
 // physicalKey derives the cache/singleflight/stale key from the
-// logical key. In multi-dataset mode it is prefixed with the dataset
-// generation ("<dataset>@<revision>|"), so a re-ingested revision can
-// never collide with entries — or in-flight computes — of a previous
-// one, and invalidation can target exactly one dataset's entries.
-// Single-repo executors keep bare logical keys.
-func (e *Executor) physicalKey(ds string, rev uint64, logical string) string {
-	if e.datasets == nil {
-		return logical
-	}
+// logical key by prefixing the dataset generation
+// ("<dataset>@<revision>|"), so a re-ingested revision can never
+// collide with entries — or in-flight computes — of a previous one,
+// and invalidation can target exactly one dataset's entries.
+func physicalKey(ds string, rev uint64, logical string) string {
 	return ds + "@" + strconv.FormatUint(rev, 10) + "|" + logical
 }
 
-// DatasetScope maps a physical cache key to the dataset that owns it:
+// datasetScope maps a physical cache key to the dataset that owns it:
 // the "<dataset>@<revision>|<logical>" generation prefix identifies
-// the tenant ('@' and '|' cannot occur in a dataset ID). Keys without
-// a generation prefix (single-repo mode) fall into the shared "" scope.
-func DatasetScope(key string) string {
-	at := strings.IndexByte(key, '@')
-	if at <= 0 {
-		return ""
-	}
-	if bar := strings.IndexByte(key, '|'); bar >= 0 && bar < at {
-		return ""
-	}
-	return key[:at]
+// the tenant ('@' cannot occur in a dataset ID).
+func datasetScope(key string) string {
+	ds, _, _ := strings.Cut(key, "@")
+	return ds
 }
 
-// RetryAfter returns the wait hinted to clients rejected by name's open
-// circuit on the default dataset (zero without breakers).
-func (e *Executor) RetryAfter(name string) time.Duration {
-	return e.RetryAfterOn(dataset.DefaultID, name)
-}
-
-// RetryAfterOn is RetryAfter for a specific dataset's breaker.
+// RetryAfterOn returns the wait hinted to clients rejected by the open
+// circuit of (ds, name) (zero without breakers).
 func (e *Executor) RetryAfterOn(ds, name string) time.Duration {
 	if e.breakers == nil {
 		return 0
@@ -284,7 +237,13 @@ func (e *Executor) RunOn(ctx context.Context, ds, name string, values url.Values
 	if !ok {
 		return nil, Outcome{}, Errorf(404, "not_found", "unknown analysis %q", name)
 	}
-	ctx = obs.WithAnalysis(obs.WithDataset(ctx, ds), name)
+	ctx = obs.WithAnalysis(ctx, name)
+	if e.registered(ds) {
+		// Parse errors outrank an unknown dataset, so parsing runs first;
+		// only a registered dataset may label its span, or every junk ID
+		// would grow its own stage series.
+		ctx = obs.WithDataset(ctx, ds)
+	}
 	sp := obs.StartSpan(ctx, "parse")
 	p, err := e.ParseParams(a, values)
 	if err != nil {
@@ -379,14 +338,15 @@ func (e *Executor) FleetKeyOn(ds, name string, values url.Values) (string, error
 // untraced context, so a request's trace record never grows after it
 // is served.
 func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Params) (interface{}, Outcome, error) {
-	name := a.Name()
-	ctx = obs.WithAnalysis(obs.WithDataset(ctx, ds), name)
 	repo, rev, err := e.resolve(ds)
 	if err != nil {
 		return nil, Outcome{}, err
 	}
+	defer e.forgetIfDeleted(ds)
+	name := a.Name()
+	ctx = obs.WithAnalysis(obs.WithDataset(ctx, ds), name)
 	logical := Key(a, p)
-	key := e.physicalKey(ds, rev, logical)
+	key := physicalKey(ds, rev, logical)
 	scope := scopeName(ds, name)
 	var br *resilience.Breaker
 	if e.breakers != nil {
@@ -465,7 +425,10 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 			e.refreshes.Add(1)
 			go func() {
 				defer e.refreshes.Done()
-				_, _, _ = e.cache.Do(key, func() (interface{}, error) { return refresh(context.Background()) }) // lint:detach same blessed refresh, inside the detached flight
+				defer e.forgetIfDeleted(ds)
+				// This waiter never leaves, so the flight context stays
+				// live until the refresh completes.
+				_, _, _ = e.cache.DoCtxFn(context.Background(), key, refresh) // lint:detach same blessed refresh, inside the detached flight
 			}()
 			return sv.Val, Outcome{Key: logical, Dataset: ds, Revision: rev, Cache: "stale", Stale: true, Entry: sv}, nil
 		}
@@ -480,11 +443,6 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 // tests) wait here first. Starting a refresh concurrently with a wait
 // that finds none running is the caller's race to avoid.
 func (e *Executor) WaitRefreshes() { e.refreshes.Wait() }
-
-// Warm pre-computes the default dataset's warmable analyses.
-func (e *Executor) Warm(ctx context.Context) error {
-	return e.WarmDataset(ctx, dataset.DefaultID)
-}
 
 // WarmDataset pre-computes every registered Warmer analysis's
 // WarmParams against dataset ds in registration order, returning the
@@ -517,28 +475,22 @@ func (e *Executor) WarmDataset(ctx context.Context, ds string) error {
 
 // InvalidateDataset drops every cache and stale entry belonging to ds
 // except those of revision keep (pass the just-ingested revision, or 0
-// on delete to purge everything), returning the number of entries
-// dropped. Called after an ingest swaps the snapshot, it also sweeps
-// entries stored by computes that were in flight across the swap —
-// their keys carry the old revision and can never be read again. No-op
-// in single-repo mode.
-func (e *Executor) InvalidateDataset(ds string, keep uint64) int {
-	fresh, stale := e.invalidateDatasetDetail(ds, keep)
-	return fresh + stale
-}
-
-// invalidateDatasetDetail is InvalidateDataset with the fresh and
-// stale drops reported separately (see serving.Cache.InvalidateDetail:
-// the stale count proves the sweep reached stale-only survivors).
-func (e *Executor) invalidateDatasetDetail(ds string, keep uint64) (fresh, stale int) {
-	if e.datasets == nil || e.cache == nil {
-		return 0, 0
-	}
+// to purge everything), returning the fresh and stale entries dropped
+// apart: a scope can hold stale-only entries whose fresh copies were
+// already evicted, and the stale count proves the sweep reached them.
+// Called after an ingest swaps the snapshot, it also sweeps entries
+// stored by computes that were in flight across the swap — their keys
+// carry the old revision and can never be read again.
+func (e *Executor) InvalidateDataset(ds string, keep uint64) (fresh, stale int) {
 	prefix := ds + "@"
 	keepPrefix := fmt.Sprintf("%s@%d|", ds, keep)
-	return e.cache.InvalidateDetail(func(key string) bool {
-		return strings.HasPrefix(key, prefix) && (keep == 0 || !strings.HasPrefix(key, keepPrefix))
+	sum, _ := e.cache.Rekey(func(key string) string {
+		if strings.HasPrefix(key, prefix) && (keep == 0 || !strings.HasPrefix(key, keepPrefix)) {
+			return ""
+		}
+		return key
 	})
+	return sum.DroppedFresh, sum.DroppedStale
 }
 
 // DropDatasetServingState removes every trace of ds from the serving
@@ -549,13 +501,10 @@ func (e *Executor) invalidateDatasetDetail(ds string, keep uint64) (fresh, stale
 // entries (fresh + stale) dropped. The default dataset's serving state
 // is never dropped here — it cannot be deleted.
 func (e *Executor) DropDatasetServingState(ds string) int {
-	if e.datasets == nil || ds == dataset.DefaultID {
+	if ds == dataset.DefaultID {
 		return 0
 	}
-	n := 0
-	if e.cache != nil {
-		n = e.cache.DropScope(ds)
-	}
+	n := e.cache.DropScope(ds)
 	if e.breakers != nil {
 		e.breakers.DropPrefix(ds + "/")
 	}
@@ -574,6 +523,23 @@ func (e *Executor) DropDatasetServingState(ds string) int {
 	}
 	e.mu.Unlock()
 	return n
+}
+
+// registered reports whether ds names a dataset in the registry.
+func (e *Executor) registered(ds string) bool {
+	_, ok := e.datasets.Get(ds)
+	return ok
+}
+
+// forgetIfDeleted drops ds's serving state again when ds is no longer
+// registered. A run that resolved ds before a DELETE can store, count,
+// or seed a prior after DropDatasetServingState swept the dataset;
+// runs call this once they have done all of that, so a late completion
+// cannot bring the deleted dataset's state back.
+func (e *Executor) forgetIfDeleted(ds string) {
+	if !e.registered(ds) {
+		e.DropDatasetServingState(ds)
+	}
 }
 
 func (e *Executor) countCompute(scope string) {

@@ -84,7 +84,7 @@ func (s *Server) fleetServeForwarded(w http.ResponseWriter, r *http.Request, own
 	w.Header().Set(fleet.OwnerHeader, s.fleet.Self())
 	sp := obs.StartSpan(r.Context(), "fleet-owner-compute")
 	sp.SetAnalysis(name)
-	sp.SetDataset(requestDatasetID(r))
+	sp.SetDataset(s.registeredDataset(r))
 	e, meta, ok := s.runAnalysis(w, r, name, values)
 	if !ok {
 		sp.EndAs("fleet-owner-compute-error")
@@ -125,13 +125,6 @@ func (s *Server) fleetForward(w http.ResponseWriter, r *http.Request, owner stri
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 	return true
-}
-
-// requestDatasetID is requestDataset without the scoped flag, for
-// span labels.
-func requestDatasetID(r *http.Request) string {
-	ds, _ := requestDataset(r)
-	return ds
 }
 
 // --- Distributed batch ---------------------------------------------------
@@ -308,9 +301,9 @@ func (s *Server) handleFleetInvalidate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "%s", err.Error())
 		return
 	}
-	n := s.exec.InvalidateDataset(req.Dataset, 0)
+	fresh, stale := s.exec.InvalidateDataset(req.Dataset, 0)
 	s.fleet.CountInvalidationReceived()
-	writeData(w, http.StatusOK, FleetInvalidation{Dataset: req.Dataset, Invalidated: n}, nil)
+	writeData(w, http.StatusOK, FleetInvalidation{Dataset: req.Dataset, Invalidated: fresh + stale}, nil)
 }
 
 // --- Fleet introspection --------------------------------------------------

@@ -21,12 +21,18 @@ import (
 // starts it via StartIdleReaper.
 
 // touchDataset records query activity on id and, if the dataset had
-// been idle-reclaimed, marks it live again.
+// been idle-reclaimed, marks it live again. An ID the registry does not
+// hold gets no idle clock; the check runs under idleMu, which a DELETE
+// takes (dropIdleTracking) only after the registry dropped the ID.
 func (s *Server) touchDataset(id string) {
 	if s.idleTTL <= 0 {
 		return
 	}
 	s.idleMu.Lock()
+	if _, ok := s.datasets.Get(id); !ok {
+		s.idleMu.Unlock()
+		return
+	}
 	s.lastAccess[id] = s.clock()
 	wasReclaimed := s.reclaimed[id]
 	if wasReclaimed {

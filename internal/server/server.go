@@ -397,12 +397,15 @@ func (s *Server) handle(pattern string, h http.Handler) {
 // metered against their route. Tracing wraps the limiter so shed
 // requests still produce a trace and a wide event. The limiter
 // attributes each request to the dataset it targets (the {ds} path
-// value; un-scoped aliases and non-dataset routes bill the default
-// tenant), so one tenant's flood cannot consume another's quota.
+// value; un-scoped aliases, non-dataset routes and IDs the registry
+// does not hold bill the default tenant), so one tenant's flood cannot
+// consume another's quota.
 func (s *Server) handleAPI(pattern string, h http.Handler) {
 	tenantOf := func(r *http.Request) string {
-		ds, _ := requestDataset(r)
-		return ds
+		if ds := s.registeredDataset(r); ds != "" {
+			return ds
+		}
+		return dataset.DefaultID
 	}
 	s.handle(pattern, s.traced(pattern, serving.Shed(s.limiter, tenantOf, s.faults.Middleware(h))))
 }
@@ -568,6 +571,17 @@ func requestDataset(r *http.Request) (ds string, scoped bool) {
 		return ds, true
 	}
 	return dataset.DefaultID, false
+}
+
+// registeredDataset is the dataset r targets when the registry holds
+// it, "" otherwise: an unregistered ID must not create per-dataset
+// state (a limiter tenant, a stage series, an idle clock).
+func (s *Server) registeredDataset(r *http.Request) string {
+	ds, _ := requestDataset(r)
+	if _, ok := s.datasets.Get(ds); !ok {
+		return ""
+	}
+	return ds
 }
 
 // execAnalysis executes a registered analysis against ds through the

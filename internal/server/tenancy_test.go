@@ -468,3 +468,85 @@ func TestNoisyNeighborChaos(t *testing.T) {
 		t.Fatalf("quiet went cold after noisy's re-ingest: %+v", e.Meta)
 	}
 }
+
+// TestUnregisteredDatasetCreatesNoState: requests naming a dataset the
+// registry does not hold — GET and batch alike, unknown or malformed
+// IDs — are answered exactly as before, but leave no per-dataset state
+// behind: no limiter tenant, no stage series, no idle clock, no cache
+// scope or executor stats, and so no /metrics sample labelled with the
+// ID.
+func TestUnregisteredDatasetCreatesNoState(t *testing.T) {
+	clk := newFakeClock()
+	s := newObsServer(t, Options{CacheSize: 16, MaxInFlight: 8, IdleTTL: time.Minute, clock: clk.Now})
+	errBody := func(code, msg string) string {
+		return "{\n  \"error\": {\n    \"code\": \"" + code + "\",\n    \"message\": \"" + msg + "\"\n  }\n}\n"
+	}
+	badK := `bad k \"banana\": want integer \u003e= 1`
+	for _, c := range []struct {
+		method, path, body string
+		status             int
+		want               string
+	}{
+		{http.MethodGet, "/api/v1/datasets/junk0/agreement", "", 404, errBody("not_found", `unknown dataset \"junk0\"`)},
+		{http.MethodGet, "/api/v1/datasets/junk1/types?k=banana", "", 400, errBody("bad_request", badK)},
+		{http.MethodGet, "/api/v1/datasets/junk@2/agreement", "", 400, errBody("bad_request",
+			`dataset: invalid dataset ID \"junk@2\": want lowercase letters, digits, '.', '_', '-', starting with a letter or digit`)},
+		{http.MethodGet, "/api/v1/datasets/junk3/courses", "", 404, errBody("not_found", `unknown dataset \"junk3\"`)},
+		{http.MethodPost, "/api/v1/batch",
+			`{"items":[{"analysis":"agreement","dataset":"junk4"},{"analysis":"types","dataset":"junk5","params":{"k":"banana"}}]}`, 200,
+			`{
+  "data": [
+    {
+      "analysis": "agreement",
+      "dataset": "junk4",
+      "error": {
+        "status": 404,
+        "code": "not_found",
+        "message": "unknown dataset \"junk4\""
+      }
+    },
+    {
+      "analysis": "types",
+      "dataset": "junk5",
+      "error": {
+        "status": 400,
+        "code": "bad_request",
+        "message": "` + badK + `"
+      }
+    }
+  ],
+  "meta": {
+    "items": 2,
+    "workers": 4
+  }
+}
+`},
+	} {
+		if w := do(t, s, c.method, c.path, c.body); w.Code != c.status || w.Body.String() != c.want {
+			t.Errorf("%s %s: %d\n%s\nwant %d\n%s", c.method, c.path, w.Code, w.Body.String(), c.status, c.want)
+		}
+	}
+
+	if body := do(t, s, http.MethodGet, "/metrics", "").Body.String(); strings.Contains(body, "junk") {
+		for _, line := range strings.Split(body, "\n") {
+			if strings.Contains(line, "junk") {
+				t.Errorf("/metrics sample for an unregistered dataset: %s", line)
+			}
+		}
+	}
+	if _, tenants := s.limiter.Stats(); len(tenants) != 1 {
+		t.Errorf("limiter tenants = %v, want only the default one", tenants)
+	}
+	s.idleMu.Lock()
+	touched := len(s.lastAccess)
+	s.idleMu.Unlock()
+	if touched != 0 {
+		t.Errorf("%d idle clocks started for unregistered datasets", touched)
+	}
+	if sc := s.Cache().Stats().Scopes; len(sc) != 0 {
+		t.Errorf("cache scopes = %v, want none", sc)
+	}
+	if a := s.exec.Stats().Analyses; len(a) != 0 {
+		t.Errorf("executor stats = %v, want none", a)
+	}
+}

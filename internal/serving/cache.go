@@ -10,7 +10,7 @@ import (
 )
 
 // Cache is a bounded LRU result cache with singleflight deduplication:
-// concurrent Do calls for the same key share one computation, and
+// concurrent DoCtxFn calls for the same key share one computation, and
 // completed results are retained (most recently used first) up to the
 // configured capacity. Errors are never cached.
 //
@@ -31,9 +31,9 @@ import (
 // every key lands in the single "" scope with the full capacity as its
 // budget, which is exactly the pre-partitioned behaviour.
 //
-// A capacity <= 0 disables retention — every Do misses and nothing is
-// kept for stale serving — but singleflight deduplication still
-// collapses concurrent callers.
+// A capacity <= 0 disables retention — every DoCtxFn misses and
+// nothing is kept for stale serving — but singleflight deduplication
+// still collapses concurrent callers.
 type Cache struct {
 	capacity int
 	group    Group
@@ -268,7 +268,7 @@ func touchStale(st *scopeStore, key string) {
 
 // Stale returns the last-known-good entry for key from its scope's
 // stale store, counting a stale serve when found. Callers use it as the
-// degraded fallback after Do failed (or was rejected by an open
+// degraded fallback after DoCtxFn failed (or was rejected by an open
 // circuit); a found entry is marked recently used so actively
 // degraded keys are the last to fall out.
 func (c *Cache) Stale(key string) (Entry, bool) {
@@ -339,67 +339,6 @@ func (c *Cache) DoCtxFn(ctx context.Context, key string, compute func(context.Co
 	return v.(Entry), sharedFlight, nil
 }
 
-// DoCtx is DoCtxFn for computations that do not take a context,
-// returning the value alone: the flight is fully detached and always
-// runs to completion once started, even if every waiting caller's ctx
-// is cancelled first.
-func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (interface{}, error)) (interface{}, bool, error) {
-	e, served, err := c.DoCtxFn(ctx, key, func(context.Context) (interface{}, error) { return compute() })
-	return e.Val, served, err
-}
-
-// Do is DoCtx with a background context.
-func (c *Cache) Do(key string, compute func() (interface{}, error)) (interface{}, bool, error) {
-	return c.DoCtx(context.Background(), key, compute) // lint:detach stale-refresh flights run to completion regardless of the triggering request
-}
-
-// Invalidate removes every fresh AND stale entry (across all scopes)
-// whose key satisfies match, returning the number of entries dropped
-// across both stores. Unlike Reset it also purges the stale store: an
-// invalidated key must not resurface as a degraded last-known-good
-// serve (the caller knows the value is wrong, not merely old). Scope
-// counters are untouched — invalidation is a corpus event, not a
-// tenant teardown (that is DropScope). In-flight singleflight
-// computations are unaffected — they complete for their waiters and
-// store under their (now unmatched or re-matched) keys.
-func (c *Cache) Invalidate(match func(key string) bool) int {
-	fresh, stale := c.InvalidateDetail(match)
-	return fresh + stale
-}
-
-// InvalidateDetail is Invalidate with the two stores reported
-// separately: entries dropped from the fresh LRUs and entries dropped
-// from the stale last-known-good stores. The split matters for
-// revision sweeps: a scope can hold STALE-ONLY entries — every fresh
-// copy already evicted — and those are exactly the copies that would
-// otherwise surface a dead revision's value through degraded serving.
-// The stale count proves the sweep reached them.
-func (c *Cache) InvalidateDetail(match func(key string) bool) (fresh, stale int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, st := range c.scopes {
-		for el := st.ll.Front(); el != nil; {
-			next := el.Next()
-			if e := el.Value.(*cacheEntry); match(e.key) {
-				st.ll.Remove(el)
-				delete(st.items, e.key)
-				fresh++
-			}
-			el = next
-		}
-		for el := st.staleLL.Front(); el != nil; {
-			next := el.Next()
-			if e := el.Value.(*cacheEntry); match(e.key) {
-				st.staleLL.Remove(el)
-				delete(st.staleItems, e.key)
-				stale++
-			}
-			el = next
-		}
-	}
-	return fresh, stale
-}
-
 // DroppedEntry is one entry removed by a Rekey sweep, returned to the
 // caller because it is no longer reachable through the cache — the
 // delta-refresh path reuses dropped values as warm-start priors.
@@ -417,13 +356,17 @@ type Rekeyed struct {
 	DroppedStale int
 }
 
-// Rekey rewrites or removes entries key by key: for every fresh and
-// stale entry, mapper(key) returns the entry's new key — the same key
-// to leave it untouched, "" to drop it, or a different key to migrate
-// the entry in place. This is how a revision bump carries provably
-// unaffected results forward: the value survives under the new
-// revision's key, keeping its LRU position, instead of being thrown
-// away and recomputed. If the new key already exists the existing
+// Rekey is the cache's one sweep: for every fresh and stale entry,
+// mapper(key) returns the entry's new key — the same key to leave it
+// untouched, "" to drop it, or a different key to migrate the entry in
+// place. A dropped key is gone from both stores, so it cannot resurface
+// as a degraded last-known-good serve; scope counters are untouched (a
+// sweep is a corpus event, not a tenant teardown — that is DropScope),
+// and in-flight computations still complete and store under their own
+// keys. This is how a revision bump carries provably unaffected
+// results forward: the value survives under the new revision's key,
+// keeping its LRU position, instead of being thrown away and
+// recomputed. If the new key already exists the existing
 // entry wins and the source is dropped; an entry whose new key maps to
 // a different scope is re-inserted there (most recently used) under
 // that scope's budget. mapper must be pure and fast — it runs under

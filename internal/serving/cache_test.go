@@ -24,15 +24,15 @@ func waitFor(t *testing.T, cond func() bool) {
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(4)
 	calls := 0
-	compute := func() (interface{}, error) { calls++; return "v", nil }
+	compute := func(context.Context) (interface{}, error) { calls++; return "v", nil }
 
-	v, served, err := c.Do("k", compute)
-	if err != nil || served || v.(string) != "v" {
-		t.Fatalf("first Do: v=%v served=%v err=%v", v, served, err)
+	e, served, err := c.DoCtxFn(context.Background(), "k", compute)
+	if err != nil || served || e.Val.(string) != "v" {
+		t.Fatalf("first DoCtxFn: v=%v served=%v err=%v", e.Val, served, err)
 	}
-	v, served, err = c.Do("k", compute)
-	if err != nil || !served || v.(string) != "v" {
-		t.Fatalf("second Do: v=%v served=%v err=%v", v, served, err)
+	e, served, err = c.DoCtxFn(context.Background(), "k", compute)
+	if err != nil || !served || e.Val.(string) != "v" {
+		t.Fatalf("second DoCtxFn: v=%v served=%v err=%v", e.Val, served, err)
 	}
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
@@ -46,7 +46,7 @@ func TestCacheHitMiss(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
 	put := func(k string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return k, nil }); err != nil {
+		if _, _, err := c.DoCtxFn(context.Background(), k, func(context.Context) (interface{}, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,13 +74,13 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	c := NewCache(4)
 	boom := errors.New("boom")
 	calls := 0
-	_, _, err := c.Do("k", func() (interface{}, error) { calls++; return nil, boom })
+	_, _, err := c.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) { calls++; return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, served, err := c.Do("k", func() (interface{}, error) { calls++; return 7, nil })
-	if err != nil || served || v.(int) != 7 {
-		t.Fatalf("retry: v=%v served=%v err=%v", v, served, err)
+	e, served, err := c.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) { calls++; return 7, nil })
+	if err != nil || served || e.Val.(int) != 7 {
+		t.Fatalf("retry: v=%v served=%v err=%v", e.Val, served, err)
 	}
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2 (errors must not be cached)", calls)
@@ -96,7 +96,7 @@ func TestCacheDisabledStillDeduplicates(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Do("k", func() (interface{}, error) {
+		c.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) {
 			atomic.AddInt32(&calls, 1)
 			close(started)
 			<-block
@@ -109,7 +109,7 @@ func TestCacheDisabledStillDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.Do("k", func() (interface{}, error) {
+			c.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) {
 				atomic.AddInt32(&calls, 1)
 				return 1, nil
 			})
@@ -121,8 +121,8 @@ func TestCacheDisabledStillDeduplicates(t *testing.T) {
 	if n := atomic.LoadInt32(&calls); n != 1 {
 		t.Fatalf("compute ran %d times, want 1", n)
 	}
-	// Nothing retained: the next sequential Do recomputes.
-	_, served, _ := c.Do("k", func() (interface{}, error) { return 1, nil })
+	// Nothing retained: the next sequential DoCtxFn recomputes.
+	_, served, _ := c.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) { return 1, nil })
 	if served {
 		t.Fatal("capacity-0 cache retained an entry")
 	}
@@ -130,7 +130,7 @@ func TestCacheDisabledStillDeduplicates(t *testing.T) {
 
 func TestCacheReset(t *testing.T) {
 	c := NewCache(4)
-	c.Do("k", func() (interface{}, error) { return 1, nil })
+	c.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) { return 1, nil })
 	c.Reset()
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("entry survived Reset")
@@ -149,9 +149,9 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.Do(key, func() (interface{}, error) { return key, nil })
-			if err != nil || v.(string) != key {
-				t.Errorf("Do(%q) = %v, %v", key, v, err)
+			e, _, err := c.DoCtxFn(context.Background(), key, func(context.Context) (interface{}, error) { return key, nil })
+			if err != nil || e.Val.(string) != key {
+				t.Errorf("DoCtxFn(%q) = %v, %v", key, e.Val, err)
 			}
 		}()
 	}
@@ -163,9 +163,9 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 }
 
 // TestCacheDoCtxClientDisconnect simulates a client disconnecting
-// mid-compute: the DoCtx caller gets ctx.Err(), the computation still
-// runs to completion, and its result lands in the cache for the next
-// request.
+// mid-compute: the caller gets ctx.Err(), a computation that ignores
+// its flight context still runs to completion, and its result lands in
+// the cache for the next request.
 func TestCacheDoCtxClientDisconnect(t *testing.T) {
 	c := NewCache(4)
 	started := make(chan struct{})
@@ -175,7 +175,7 @@ func TestCacheDoCtxClientDisconnect(t *testing.T) {
 	var calls int32
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := c.DoCtx(ctx, "k", func() (interface{}, error) {
+		_, _, err := c.DoCtxFn(ctx, "k", func(context.Context) (interface{}, error) {
 			atomic.AddInt32(&calls, 1)
 			close(started)
 			<-block
@@ -193,12 +193,12 @@ func TestCacheDoCtxClientDisconnect(t *testing.T) {
 	// The detached flight completes and caches: the next request is a
 	// pure hit with no recompute.
 	waitFor(t, func() bool { _, ok := c.Get("k"); return ok })
-	v, served, err := c.Do("k", func() (interface{}, error) {
+	e, served, err := c.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) {
 		atomic.AddInt32(&calls, 1)
 		return "other", nil
 	})
-	if err != nil || !served || v.(string) != "v" {
-		t.Fatalf("post-disconnect Do: v=%v served=%v err=%v", v, served, err)
+	if err != nil || !served || e.Val.(string) != "v" {
+		t.Fatalf("post-disconnect DoCtxFn: v=%v served=%v err=%v", e.Val, served, err)
 	}
 	if n := atomic.LoadInt32(&calls); n != 1 {
 		t.Fatalf("compute ran %d times, want 1", n)
@@ -211,7 +211,7 @@ func TestCacheDoCtxClientDisconnect(t *testing.T) {
 func TestCacheStaleSurvivesEviction(t *testing.T) {
 	c := NewCache(1) // stale capacity 2
 	put := func(k string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return "val-" + k, nil }); err != nil {
+		if _, _, err := c.DoCtxFn(context.Background(), k, func(context.Context) (interface{}, error) { return "val-" + k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,7 +240,7 @@ func TestCacheStaleSurvivesEviction(t *testing.T) {
 func TestCacheStaleOrderingFollowsUse(t *testing.T) {
 	c := NewCache(2) // stale capacity 4
 	put := func(k string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return k, nil }); err != nil {
+		if _, _, err := c.DoCtxFn(context.Background(), k, func(context.Context) (interface{}, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +264,7 @@ func TestCacheStaleOrderingFollowsUse(t *testing.T) {
 // (or wiped) fresh cache degrade gracefully while computes fail.
 func TestCacheResetKeepsStale(t *testing.T) {
 	c := NewCache(4)
-	if _, _, err := c.Do("k", func() (interface{}, error) { return 1, nil }); err != nil {
+	if _, _, err := c.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	c.Reset()
@@ -279,7 +279,7 @@ func TestCacheResetKeepsStale(t *testing.T) {
 // TestCacheDisabledHasNoStale: capacity <= 0 disables both stores.
 func TestCacheDisabledHasNoStale(t *testing.T) {
 	c := NewCache(0)
-	if _, _, err := c.Do("k", func() (interface{}, error) { return 1, nil }); err != nil {
+	if _, _, err := c.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Stale("k"); ok {
@@ -314,7 +314,7 @@ func fill(t *testing.T, c *Cache, keys ...string) {
 	t.Helper()
 	for _, k := range keys {
 		k := k
-		if _, _, err := c.Do(k, func() (interface{}, error) { return k, nil }); err != nil {
+		if _, _, err := c.DoCtxFn(context.Background(), k, func(context.Context) (interface{}, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,27 +425,38 @@ func TestCacheDropScopeResetsCounters(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidateKeepsScopeCounters: Invalidate is a corpus event
+// dropTenant maps tenant's keys to "" (a Rekey drop) and keeps the
+// rest.
+func dropTenant(tenant string) func(string) string {
+	return func(key string) string {
+		if tenantScope(key) == tenant {
+			return ""
+		}
+		return key
+	}
+}
+
+// TestCacheInvalidateKeepsScopeCounters: a Rekey drop is a corpus event
 // (re-ingest), not a tenant teardown — the scope's counters survive.
 func TestCacheInvalidateKeepsScopeCounters(t *testing.T) {
 	c := newPartitioned(8, nil, "a", "b")
 	fill(t, c, "a:1", "a:2")
 	c.Get("a:1")
-	dropped := c.Invalidate(func(key string) bool { return tenantScope(key) == "a" })
-	if dropped != 4 {
-		t.Fatalf("Invalidate dropped %d, want 4", dropped)
+	sum, _ := c.Rekey(dropTenant("a"))
+	if sum.DroppedFresh+sum.DroppedStale != 4 {
+		t.Fatalf("Rekey dropped %+v, want 4 entries", sum)
 	}
 	a := c.Stats().Scopes["a"]
 	if a.Size != 0 || a.StaleSize != 0 {
 		t.Fatalf("scope a entries survived: %+v", a)
 	}
 	if a.Hits != 1 || a.Misses != 2 {
-		t.Fatalf("scope a counters reset by Invalidate: %+v", a)
+		t.Fatalf("scope a counters reset by Rekey: %+v", a)
 	}
 }
 
 // TestCacheConcurrentInvalidateDoCtxEvictionRace hammers the three
-// mutation paths — DoCtx computes at the budget boundary, Invalidate
+// mutation paths — DoCtxFn computes at the budget boundary, Rekey drop
 // sweeps, and scoped eviction — concurrently across two tenants. Run
 // under -race this proves the partitioned stores share no unguarded
 // state; the assertions prove isolation holds through the churn.
@@ -465,8 +476,8 @@ func TestCacheConcurrentInvalidateDoCtxEvictionRace(t *testing.T) {
 			default:
 			}
 			k := keys[i%len(keys)]
-			if _, _, err := c.DoCtx(ctx, k, func() (interface{}, error) { return i, nil }); err != nil {
-				t.Errorf("DoCtx(%q): %v", k, err)
+			if _, _, err := c.DoCtxFn(ctx, k, func(context.Context) (interface{}, error) { return i, nil }); err != nil {
+				t.Errorf("DoCtxFn(%q): %v", k, err)
 				return
 			}
 		}
@@ -483,7 +494,7 @@ func TestCacheConcurrentInvalidateDoCtxEvictionRace(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				c.Invalidate(func(key string) bool { return tenantScope(key) == "a" })
+				c.Rekey(dropTenant("a"))
 			}
 		}
 	}()
@@ -522,10 +533,12 @@ func TestCacheUnpartitionedScopeExcludedFromScopes(t *testing.T) {
 	}
 }
 
+// TestInvalidateDetailSweepsStaleOnlyScopes: a Rekey drop reaches
+// stale-only entries and reports them apart from fresh ones.
 func TestInvalidateDetailSweepsStaleOnlyScopes(t *testing.T) {
 	c := NewCache(1)
 	put := func(k string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return k, nil }); err != nil {
+		if _, _, err := c.DoCtxFn(context.Background(), k, func(context.Context) (interface{}, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -540,9 +553,9 @@ func TestInvalidateDetailSweepsStaleOnlyScopes(t *testing.T) {
 		t.Fatal("a should survive as stale")
 	}
 
-	fresh, stale := c.InvalidateDetail(func(k string) bool { return true })
-	if fresh != 1 || stale != 2 {
-		t.Fatalf("InvalidateDetail = (%d fresh, %d stale), want (1, 2)", fresh, stale)
+	sum, dropped := c.Rekey(func(string) string { return "" })
+	if sum.DroppedFresh != 1 || sum.DroppedStale != 2 || len(dropped) != 3 {
+		t.Fatalf("Rekey = %+v with %d dropped entries, want 1 fresh + 2 stale", sum, len(dropped))
 	}
 	// The evicted-but-stale key must be gone for good: a revision sweep
 	// that misses it would stale-serve a dead revision's value.
@@ -552,18 +565,12 @@ func TestInvalidateDetailSweepsStaleOnlyScopes(t *testing.T) {
 	if _, ok := c.Stale("old@1|b"); ok {
 		t.Error("stale entry of fresh key survived invalidation")
 	}
-	// Invalidate reports the same total.
-	put("x")
-	put("y")
-	if n := c.Invalidate(func(string) bool { return true }); n != 3 {
-		t.Errorf("Invalidate = %d, want 1 fresh + 2 stale = 3", n)
-	}
 }
 
 func TestRekeyMigratesAndDrops(t *testing.T) {
 	c := NewCache(8)
 	put := func(k string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return "val-" + k, nil }); err != nil {
+		if _, _, err := c.DoCtxFn(context.Background(), k, func(context.Context) (interface{}, error) { return "val-" + k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -610,7 +617,7 @@ func TestRekeyMigratesAndDrops(t *testing.T) {
 func TestRekeyCollisionKeepsExisting(t *testing.T) {
 	c := NewCache(8)
 	put := func(k, v string) {
-		if _, _, err := c.Do(k, func() (interface{}, error) { return v, nil }); err != nil {
+		if _, _, err := c.DoCtxFn(context.Background(), k, func(context.Context) (interface{}, error) { return v, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -643,7 +650,7 @@ func TestRekeyAcrossScopes(t *testing.T) {
 		}
 		return ""
 	})
-	if _, _, err := c.Do("s1|k", func() (interface{}, error) { return "v", nil }); err != nil {
+	if _, _, err := c.DoCtxFn(context.Background(), "s1|k", func(context.Context) (interface{}, error) { return "v", nil }); err != nil {
 		t.Fatal(err)
 	}
 	sum, _ := c.Rekey(func(k string) string {

@@ -189,12 +189,12 @@ func (v countedValue) MarshalJSON() ([]byte, error) {
 // TestEntryEncodedOnceAcrossMoves: a cached value is not encoded until
 // a writer asks, then exactly once, however many readers ask at once,
 // and its fresh copy, stale copy and Rekey-migrated entry all return
-// those same bytes. Invalidation drops them with the value.
+// those same bytes. A Rekey drop removes them with the value.
 func TestEntryEncodedOnceAcrossMoves(t *testing.T) {
 	var n int32
 	c := NewCache(2)
-	compute := func() (interface{}, error) { return countedValue{&n}, nil }
-	e, _, err := c.DoCtxFn(context.Background(), "ds@1|k", func(context.Context) (interface{}, error) { return compute() })
+	compute := func(context.Context) (interface{}, error) { return countedValue{&n}, nil }
+	e, _, err := c.DoCtxFn(context.Background(), "ds@1|k", compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestEntryEncodedOnceAcrossMoves(t *testing.T) {
 	c.Reset()
 	stale, ok := c.Stale("ds@1|k")
 	same("stale copy", stale, ok, first)
-	if _, _, err := c.Do("ds@1|k", compute); err != nil { // refill: a new entry, fresh and stale
+	if _, _, err := c.DoCtxFn(context.Background(), "ds@1|k", compute); err != nil { // refill: a new entry, fresh and stale
 		t.Fatal(err)
 	}
 	refilled, _ := c.Get("ds@1|k")
@@ -241,8 +241,8 @@ func TestEntryEncodedOnceAcrossMoves(t *testing.T) {
 	if got := atomic.LoadInt32(&n); got != 2 {
 		t.Fatalf("encoded %d times, want 2 (the first flight and the refill)", got)
 	}
-	c.Invalidate(func(string) bool { return true })
+	c.Rekey(func(string) string { return "" })
 	if _, ok := c.Stale("ds@2|k"); ok {
-		t.Fatal("invalidated entry still stale-served")
+		t.Fatal("dropped entry still stale-served")
 	}
 }

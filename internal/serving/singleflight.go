@@ -10,12 +10,15 @@
 // WriteEnvelope answers a warm hit by writing prepared bytes plus a
 // per-request meta block, byte-identical to WriteJSON.
 //
-// The dataset behind the analyses is deterministic, so cached results
-// never go stale on their own: the fresh cache is bounded by size only
-// and invalidation does not exist. "Stale" here means a last-known-good
-// value that has fallen out of the fresh LRU but is retained for
-// degraded serving while the compute path is failing (see Cache.Stale
-// and internal/resilience).
+// Cached results never go stale on their own: an analysis is a pure
+// function of one dataset revision, so the fresh cache is bounded by
+// size only. Cache.Rekey is the one sweep: when a dataset changes, the
+// engine maps each of its keys to the new revision's key (the result
+// provably survives the change) or to "" (it is dropped from both
+// stores), and every other key to itself. "Stale" here means a
+// last-known-good value that has fallen out of the fresh LRU but is
+// retained for degraded serving while the compute path is failing (see
+// Cache.Stale and internal/resilience).
 //
 // The cache participates in request tracing (internal/obs): when a
 // request context carries a trace, Cache.DoCtxFn records
@@ -47,8 +50,8 @@ type call struct {
 }
 
 // Group deduplicates concurrent computations by key: while a call for
-// a key is in flight, additional Do calls for the same key wait for it
-// and share its result instead of computing again.
+// a key is in flight, additional DoCtxFn calls for the same key wait
+// for it and share its result instead of computing again.
 type Group struct {
 	mu sync.Mutex
 	m  map[string]*call
@@ -149,19 +152,6 @@ func (g *Group) leave(c *call) {
 	if last {
 		c.cancel()
 	}
-}
-
-// DoCtx is DoCtxFn for computations that do not take a context: the
-// flight is fully detached and always runs to completion, even if every
-// waiting caller's ctx is cancelled first.
-func (g *Group) DoCtx(ctx context.Context, key string, fn func() (interface{}, error)) (interface{}, error, bool) {
-	return g.DoCtxFn(ctx, key, func(context.Context) (interface{}, error) { return fn() })
-}
-
-// Do is DoCtx with a background context: the caller waits for the
-// flight unconditionally.
-func (g *Group) Do(key string, fn func() (interface{}, error)) (interface{}, error, bool) {
-	return g.DoCtx(context.Background(), key, fn)
 }
 
 // waiting reports how many callers are blocked on the key's in-flight

@@ -24,7 +24,7 @@ func TestSingleflightShares(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err, _ := g.Do("k", func() (interface{}, error) {
+		v, err, _ := g.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) {
 			atomic.AddInt32(&calls, 1)
 			close(started)
 			<-block
@@ -42,7 +42,7 @@ func TestSingleflightShares(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err, shared := g.Do("k", func() (interface{}, error) {
+			v, err, shared := g.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) {
 				atomic.AddInt32(&calls, 1)
 				return -1, nil
 			})
@@ -85,16 +85,16 @@ func TestSingleflightShares(t *testing.T) {
 
 func TestSingleflightDistinctKeys(t *testing.T) {
 	var g Group
-	v1, err, shared := g.Do("a", func() (interface{}, error) { return 1, nil })
+	v1, err, shared := g.DoCtxFn(context.Background(), "a", func(context.Context) (interface{}, error) { return 1, nil })
 	if err != nil || shared || v1.(int) != 1 {
 		t.Fatalf("a: v=%v err=%v shared=%v", v1, err, shared)
 	}
-	v2, err, shared := g.Do("b", func() (interface{}, error) { return 2, nil })
+	v2, err, shared := g.DoCtxFn(context.Background(), "b", func(context.Context) (interface{}, error) { return 2, nil })
 	if err != nil || shared || v2.(int) != 2 {
 		t.Fatalf("b: v=%v err=%v shared=%v", v2, err, shared)
 	}
 	// A key is re-computable after its flight completes.
-	v3, _, shared := g.Do("a", func() (interface{}, error) { return 3, nil })
+	v3, _, shared := g.DoCtxFn(context.Background(), "a", func(context.Context) (interface{}, error) { return 3, nil })
 	if shared || v3.(int) != 3 {
 		t.Fatalf("second a flight: v=%v shared=%v", v3, shared)
 	}
@@ -103,7 +103,7 @@ func TestSingleflightDistinctKeys(t *testing.T) {
 func TestSingleflightError(t *testing.T) {
 	var g Group
 	boom := errors.New("boom")
-	_, err, _ := g.Do("k", func() (interface{}, error) { return nil, boom })
+	_, err, _ := g.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -118,7 +118,7 @@ func TestSingleflightPanic(t *testing.T) {
 	panicked := make(chan interface{}, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		g.Do("k", func() (interface{}, error) {
+		g.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) {
 			close(started)
 			<-block
 			panic("kaboom")
@@ -127,7 +127,7 @@ func TestSingleflightPanic(t *testing.T) {
 	<-started
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err, _ := g.Do("k", func() (interface{}, error) { return nil, nil })
+		_, err, _ := g.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) { return nil, nil })
 		waiterErr <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -164,7 +164,7 @@ func TestSingleflightLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err, _ := g.DoCtx(ctx, "k", func() (interface{}, error) {
+		_, err, _ := g.DoCtxFn(ctx, "k", func(context.Context) (interface{}, error) {
 			close(started)
 			<-block
 			return 42, nil
@@ -179,7 +179,7 @@ func TestSingleflightLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 	var fshared bool
 	go func() {
 		defer close(followerDone)
-		fv, ferr, fshared = g.DoCtx(context.Background(), "k", func() (interface{}, error) {
+		fv, ferr, fshared = g.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) {
 			return -1, errors.New("follower must not compute")
 		})
 	}()
@@ -219,7 +219,7 @@ func TestSingleflightLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 	}
 
 	// The key is reusable afterwards: no poisoned state remains.
-	v, err, shared := g.Do("k", func() (interface{}, error) { return 7, nil })
+	v, err, shared := g.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) { return 7, nil })
 	if err != nil || shared || v.(int) != 7 {
 		t.Fatalf("post-cancel flight: v=%v err=%v shared=%v", v, err, shared)
 	}
@@ -234,7 +234,7 @@ func TestSingleflightWaiterCancel(t *testing.T) {
 
 	leaderVal := make(chan interface{}, 1)
 	go func() {
-		v, _, _ := g.Do("k", func() (interface{}, error) {
+		v, _, _ := g.DoCtxFn(context.Background(), "k", func(context.Context) (interface{}, error) {
 			close(started)
 			<-block
 			return "real", nil
@@ -246,7 +246,7 @@ func TestSingleflightWaiterCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err, shared := g.DoCtx(ctx, "k", func() (interface{}, error) { return nil, nil })
+		_, err, shared := g.DoCtxFn(ctx, "k", func(context.Context) (interface{}, error) { return nil, nil })
 		if !shared {
 			t.Error("waiter did not join the flight")
 		}
