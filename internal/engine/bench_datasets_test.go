@@ -200,9 +200,12 @@ func BenchmarkDatasetServing(b *testing.B) {
 // the delta-refresh warm-start path, which retains the fixed point
 // after a single probe iteration). nnmf/* drives the dense
 // nnmf.Factorize; nnmf-csr/* drives nnmf.FactorizeCSR, the sparse
-// kernel the types analysis actually serves. The dense cold/warm ns gap
-// is the warm start's value; benchcheck gates it at -warm-ratio, and
-// both cold modes at -max-ratio against the committed baseline.
+// kernel the types analysis actually serves. nnmf-csr-groups/cold runs
+// FactorizeCSR over the shapes the types endpoint serves: one op
+// factorizes each course group's matrix (cs1, ds, dsalgo, pdc, all) at
+// k = 2 and 3. The dense cold/warm ns gap is the warm start's value;
+// benchcheck gates it at -warm-ratio, and every cold mode at
+// -max-ratio against the committed baseline.
 func BenchmarkNNMFCore(b *testing.B) {
 	a, _ := materials.CourseMatrix(dataset.Courses())
 	csr := matrix.FromDense(a)
@@ -249,6 +252,23 @@ func BenchmarkNNMFCore(b *testing.B) {
 		b.StopTimer()
 		recordBench("nnmf-csr", "cold", b)
 	})
+	b.Run("nnmf-csr-groups/cold", func(b *testing.B) {
+		groups := servedGroupMatrices()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, a := range groups {
+				for k := 2; k <= 3; k++ {
+					o := factorize.PaperOptions()
+					o.K = k
+					if _, err := nnmf.FactorizeCSR(a, o); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		b.StopTimer()
+		recordBench("nnmf-csr-groups", "cold", b)
+	})
 	b.Run("nnmf-csr/warm", func(b *testing.B) {
 		warm := opts
 		warm.InitW, warm.InitH = csrSeed.W, csrSeed.H
@@ -264,6 +284,32 @@ func BenchmarkNNMFCore(b *testing.B) {
 		b.StopTimer()
 		recordBench("nnmf-csr", "warm", b)
 	})
+}
+
+// servedGroupMatrices returns the seed corpus's course × curriculum
+// matrices for the groups the types analysis serves, in CSR form:
+// cs1, ds, dsalgo (DS ∪ Algo), pdc and all.
+func servedGroupMatrices() []*matrix.CSR {
+	var out []*matrix.CSR
+	for _, in := range []func(*materials.Course) bool{
+		func(c *materials.Course) bool { return c.HasGroup(materials.GroupCS1) },
+		func(c *materials.Course) bool { return c.HasGroup(materials.GroupDS) },
+		func(c *materials.Course) bool {
+			return c.HasGroup(materials.GroupDS) || c.HasGroup(materials.GroupAlgo)
+		},
+		func(c *materials.Course) bool { return c.HasGroup(materials.GroupPDC) },
+		func(*materials.Course) bool { return true },
+	} {
+		var courses []*materials.Course
+		for _, c := range dataset.Courses() {
+			if in(c) {
+				courses = append(courses, c)
+			}
+		}
+		a, _ := materials.CourseMatrix(courses)
+		out = append(out, matrix.FromDense(a))
+	}
+	return out
 }
 
 // BenchmarkBatchScaling measures RunBatch over real analyses with the

@@ -128,7 +128,7 @@ func TestFakeAnalysisFullLadder(t *testing.T) {
 	// before reasoning about the breaker: a refresh still running after
 	// the heal below would take the half-open probe slot and turn this
 	// test's own post-recovery request away.
-	e.WaitRefreshes()
+	e.WaitDetached()
 
 	// Three consecutive failures opened the breaker; an uncached key now
 	// fails fast with ErrOpen without touching Compute.
@@ -370,10 +370,11 @@ func TestErrorMapping(t *testing.T) {
 }
 
 // TestDeleteDuringComputeLeavesNoServingState: a run that resolved a
-// dataset before its DELETE — a request's own flight, or the detached
-// refresh a stale serve launched — completes after
-// DropDatasetServingState swept the dataset. Its late store and counts
-// must not bring the deleted dataset's cache scope or stats back.
+// dataset before its DELETE — a request's own flight, the detached
+// refresh a stale serve launched, or a flight every caller abandoned —
+// completes after DropDatasetServingState swept the dataset. Its late
+// store and counts must not bring the deleted dataset's cache scope or
+// stats back.
 func TestDeleteDuringComputeLeavesNoServingState(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -381,18 +382,24 @@ func TestDeleteDuringComputeLeavesNoServingState(t *testing.T) {
 		// answered stale, leaving the blocked compute to the detached
 		// refresh.
 		failFirst bool
-	}{{"request flight", false}, {"stale refresh", true}} {
+		// abandon cancels the caller before the DELETE, so the flight
+		// (whose compute ignores its context) finishes with no caller
+		// left waiting for it.
+		abandon bool
+	}{{"request flight", false, false}, {"stale refresh", true, false}, {"abandoned flight", false, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFake("fake")
 			datasets := dataset.NewRegistry(nil)
-			if _, err := datasets.Put("alt", dataset.Repository().Courses()); err != nil {
+			snap, err := datasets.Put("alt", dataset.Repository().Courses())
+			if err != nil {
 				t.Fatal(err)
 			}
 			cache := serving.NewCache(16)
 			e := engine.NewExecutor(engine.NewRegistry(f), engine.ExecutorOptions{
 				Datasets: datasets, Cache: cache, StaleServe: true,
 			})
-			ctx := context.Background()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 			if tc.failFirst {
 				if _, _, err := e.RunOn(ctx, "alt", "fake", vals("a")); err != nil {
 					t.Fatal(err)
@@ -415,15 +422,28 @@ func TestDeleteDuringComputeLeavesNoServingState(t *testing.T) {
 				done <- err
 			}()
 			<-started
+			var flight <-chan struct{}
+			if tc.abandon {
+				cancel()
+				if err := <-done; !errors.Is(err, context.Canceled) {
+					t.Fatalf("abandoning caller got %v, want context.Canceled", err)
+				}
+				key := fmt.Sprintf("alt@%d|fake|a", snap.Revision())
+				if flight = cache.Flight(key); flight == nil {
+					t.Fatalf("no flight running for %s after its caller left", key)
+				}
+			}
 			if err := datasets.Delete("alt"); err != nil {
 				t.Fatal(err)
 			}
 			e.DropDatasetServingState("alt")
 			close(release)
-			if err := <-done; err != nil {
+			if tc.abandon {
+				<-flight // the flight has stored its result for nobody
+			} else if err := <-done; err != nil {
 				t.Fatal(err)
 			}
-			e.WaitRefreshes()
+			e.WaitDetached()
 
 			if sc, ok := cache.Stats().Scopes["alt"]; ok {
 				t.Errorf("deleted dataset's cache scope came back: %+v", sc)

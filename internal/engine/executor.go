@@ -116,9 +116,10 @@ type Executor struct {
 
 	batchWorkers int
 
-	// refreshes tracks the detached stale-refresh goroutines
-	// (WaitRefreshes).
-	refreshes sync.WaitGroup
+	// detached tracks the goroutines that outlive the request that
+	// started them: stale refreshes and the serving-state checks that
+	// wait out abandoned flights (WaitDetached).
+	detached sync.WaitGroup
 
 	mu         sync.Mutex
 	stats      map[string]*analysisStats
@@ -342,11 +343,11 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 	if err != nil {
 		return nil, Outcome{}, err
 	}
-	defer e.forgetIfDeleted(ds)
 	name := a.Name()
 	ctx = obs.WithAnalysis(obs.WithDataset(ctx, ds), name)
 	logical := Key(a, p)
 	key := physicalKey(ds, rev, logical)
+	defer e.forgetIfDeletedAfterFlight(ds, key)
 	scope := scopeName(ds, name)
 	var br *resilience.Breaker
 	if e.breakers != nil {
@@ -422,9 +423,9 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 			// nil: same revision). Non-warmable analyses ignore the seed.
 			e.seedPrior(key, sv.Val, nil, true)
 			refresh := guardedWith(context.Background()) // lint:detach DESIGN §9: the stale refresh must outlive the request that tripped it
-			e.refreshes.Add(1)
+			e.detached.Add(1)
 			go func() {
-				defer e.refreshes.Done()
+				defer e.detached.Done()
 				defer e.forgetIfDeleted(ds)
 				// This waiter never leaves, so the flight context stays
 				// live until the refresh completes.
@@ -436,13 +437,14 @@ func (e *Executor) RunParamsOn(ctx context.Context, ds string, a Analysis, p Par
 	return nil, Outcome{}, err
 }
 
-// WaitRefreshes blocks until every detached stale refresh started so
-// far has finished: the WaitGroup the stale path adds each refresh
-// goroutine to. A refresh takes the breaker's half-open probe when it
-// runs, so callers that reason about the breaker (graceful drain,
-// tests) wait here first. Starting a refresh concurrently with a wait
-// that finds none running is the caller's race to avoid.
-func (e *Executor) WaitRefreshes() { e.refreshes.Wait() }
+// WaitDetached blocks until every detached goroutine started so far
+// has finished: each stale refresh, and each check that waits out a
+// flight its callers abandoned (see forgetIfDeletedAfterFlight). A
+// refresh takes the breaker's half-open probe when it runs, so callers
+// that reason about the breaker (graceful drain, tests) wait here
+// first. Starting detached work concurrently with a wait that finds
+// none running is the caller's race to avoid.
+func (e *Executor) WaitDetached() { e.detached.Wait() }
 
 // WarmDataset pre-computes every registered Warmer analysis's
 // WarmParams against dataset ds in registration order, returning the
@@ -540,6 +542,27 @@ func (e *Executor) forgetIfDeleted(ds string) {
 	if !e.registered(ds) {
 		e.DropDatasetServingState(ds)
 	}
+}
+
+// forgetIfDeletedAfterFlight is forgetIfDeleted for a run over key: it
+// checks at once when no flight for key is running, and otherwise once
+// that flight has ended. A run whose callers all left returns while
+// its flight goes on — a compute that ignores its context still
+// counts, records and stores under ds when it finishes — so the check
+// waits for the flight, on a detached goroutine, rather than for the
+// callers.
+func (e *Executor) forgetIfDeletedAfterFlight(ds, key string) {
+	done := e.cache.Flight(key)
+	if done == nil {
+		e.forgetIfDeleted(ds)
+		return
+	}
+	e.detached.Add(1)
+	go func() {
+		defer e.detached.Done()
+		<-done
+		e.forgetIfDeleted(ds)
+	}()
 }
 
 func (e *Executor) countCompute(scope string) {

@@ -74,10 +74,11 @@ func AnalyzeCtx(ctx context.Context, courses []*materials.Course, k int, opts nn
 	var err error
 	if opts.Algorithm == nnmf.MultiplicativeFrobenius && opts.L1W == 0 && opts.L1H == 0 {
 		// The 0-1 course matrix is sparse; the CSR path runs the same
-		// init and updates with allocation-free iterations, 3.5-4× the
-		// speed of the dense path on the seed corpus (BenchmarkSparseNNMF).
-		// Its trace-identity residual is not bit-equal to the dense one,
-		// so the two can stop at different iterations; see FactorizeCSR.
+		// init and updates with allocation-free iterations that touch
+		// only the non-zeros, several times faster than the dense path
+		// (DESIGN §3 and BenchmarkSparseNNMF keep the figures). Its
+		// trace-identity residual is not bit-equal to the dense one, so
+		// the two can stop at different iterations; see FactorizeCSR.
 		res, err = nnmf.FactorizeCSRCtx(ctx, matrix.FromDense(a), opts)
 	} else {
 		res, err = nnmf.FactorizeCtx(ctx, a, opts)

@@ -85,9 +85,9 @@ func (m *Dense) mulRows(n, out *Dense, lo, hi int) {
 			if mik == 0 {
 				continue
 			}
-			nk := n.data[k*n.cols : (k+1)*n.cols]
-			for j, nkj := range nk {
-				oi[j] += mik * nkj
+			nk := n.data[k*n.cols : (k+1)*n.cols][:len(oi)]
+			for j := range oi {
+				oi[j] += mik * nk[j]
 			}
 		}
 	}
@@ -132,7 +132,7 @@ func (m *Dense) MulAtBInto(dst, n *Dense) {
 			if mki == 0 {
 				continue
 			}
-			oi := dst.data[i*dst.cols : (i+1)*dst.cols]
+			oi := dst.data[i*dst.cols : (i+1)*dst.cols][:len(nk)]
 			for j, nkj := range nk {
 				oi[j] += mki * nkj
 			}
@@ -154,29 +154,65 @@ func (m *Dense) MulABt(n *Dense) *Dense {
 // dst must not alias m or n. The Gram matrix m × mᵀ (n == m) is
 // symmetric entry for entry — s_ji multiplies the same pairs in the same
 // order as s_ij — so only its upper triangle is computed and mirrored.
+//
+// The entries to compute are taken four at a time, in row-major order,
+// and each group shares one pass over the columns with a separate
+// accumulator per entry: every entry is still the same column-order sum
+// as a one-at-a-time dot product, bit for bit, but the four independent
+// addition chains overlap. The last group repeats its final entry to
+// fill the unused lanes.
 func (m *Dense) MulABtInto(dst, n *Dense) {
 	if m.cols != n.cols || dst.rows != m.rows || dst.cols != n.rows {
 		panic(fmt.Sprintf("matrix: MulABtInto shape mismatch %dx%d vs %dx%d into %dx%d",
 			m.rows, m.cols, n.rows, n.cols, dst.rows, dst.cols))
 	}
 	gram := m == n
+	var is, js [4]int
+	lanes := 0
 	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := dst.data[i*dst.cols : (i+1)*dst.cols]
 		j0 := 0
 		if gram {
 			j0 = i
 		}
 		for j := j0; j < n.rows; j++ {
-			nj := n.data[j*n.cols : (j+1)*n.cols]
-			s := 0.0
-			for k, v := range mi {
-				s += v * nj[k]
+			is[lanes], js[lanes] = i, j
+			if lanes++; lanes == len(is) {
+				m.dots4Into(dst, n, is, js, gram)
+				lanes = 0
 			}
-			oi[j] = s
-			if gram {
-				dst.data[j*dst.cols+i] = s
-			}
+		}
+	}
+	if lanes > 0 {
+		for q := lanes; q < len(is); q++ {
+			is[q], js[q] = is[lanes-1], js[lanes-1]
+		}
+		m.dots4Into(dst, n, is, js, gram)
+	}
+}
+
+// dots4Into writes the four entries (is[q], js[q]) of m × nᵀ into dst,
+// and their mirrors when gram is set, from one pass over the columns.
+func (m *Dense) dots4Into(dst, n *Dense, is, js [4]int, gram bool) {
+	c := m.cols
+	m0 := m.data[is[0]*c : (is[0]+1)*c]
+	m1 := m.data[is[1]*c : (is[1]+1)*c][:len(m0)]
+	m2 := m.data[is[2]*c : (is[2]+1)*c][:len(m0)]
+	m3 := m.data[is[3]*c : (is[3]+1)*c][:len(m0)]
+	n0 := n.data[js[0]*c : (js[0]+1)*c][:len(m0)]
+	n1 := n.data[js[1]*c : (js[1]+1)*c][:len(m0)]
+	n2 := n.data[js[2]*c : (js[2]+1)*c][:len(m0)]
+	n3 := n.data[js[3]*c : (js[3]+1)*c][:len(m0)]
+	var s0, s1, s2, s3 float64
+	for k, v := range m0 {
+		s0 += v * n0[k]
+		s1 += m1[k] * n1[k]
+		s2 += m2[k] * n2[k]
+		s3 += m3[k] * n3[k]
+	}
+	for q, s := range [4]float64{s0, s1, s2, s3} {
+		dst.data[is[q]*dst.cols+js[q]] = s
+		if gram {
+			dst.data[js[q]*dst.cols+is[q]] = s
 		}
 	}
 }

@@ -54,65 +54,103 @@ func (c *CSR) ToDense() *Dense {
 	return out
 }
 
-// MulBtAInto writes Bᵀ × A into dst (B.cols × A.cols), overwriting it —
-// the WᵀA product of the NNMF H update, accumulated directly in that
-// k × cols layout. A.rows must equal B.rows; dst must not alias b.
-func (c *CSR) MulBtAInto(dst, b *Dense) {
-	if c.rows != b.rows || dst.rows != b.cols || dst.cols != c.cols {
-		panic(fmt.Sprintf("matrix: CSR MulBtAInto shape mismatch %dx%d vs %dx%d into %dx%d",
-			c.rows, c.cols, b.rows, b.cols, dst.rows, dst.cols))
-	}
-	clear(dst.data)
-	for i := 0; i < c.rows; i++ {
-		bi := b.data[i*b.cols : (i+1)*b.cols]
-		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
-			col := c.colIdx[p]
-			v := c.vals[p]
-			for t, bit := range bi {
-				dst.data[t*dst.cols+col] += v * bit
-			}
-		}
-	}
-}
-
-// Mul returns A × B with A sparse and B dense.
-func (c *CSR) Mul(b *Dense) *Dense {
-	if c.cols != b.Rows() {
-		panic(fmt.Sprintf("matrix: CSR Mul shape mismatch %dx%d × %dx%d", c.rows, c.cols, b.Rows(), b.Cols()))
-	}
-	out := New(c.rows, b.Cols())
-	for i := 0; i < c.rows; i++ {
-		oi := out.RowView(i)
-		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
-			bk := b.RowView(c.colIdx[p])
-			v := c.vals[p]
-			for j, bkj := range bk {
-				oi[j] += v * bkj
-			}
-		}
-	}
-	return out
-}
-
 // MulABtInto writes A × Bᵀ into dst (A.rows × B.rows), overwriting it —
 // the AHᵀ product of the NNMF W update. A.cols must equal B.cols; dst
 // must not alias b.
+//
+// Each entry is one sum over its row's non-zeros in ascending column
+// order, and the inner loop runs over those non-zeros rather than over
+// the short B.rows dimension. The entries of a row are taken four at a
+// time, each with its own accumulator, so four independent addition
+// chains share one pass over the row; a last group of fewer than four
+// repeats its final entry.
 func (c *CSR) MulABtInto(dst, b *Dense) {
 	if c.cols != b.cols || dst.rows != c.rows || dst.cols != b.rows {
 		panic(fmt.Sprintf("matrix: CSR MulABtInto shape mismatch %dx%d vs %dx%d into %dx%d",
 			c.rows, c.cols, b.rows, b.cols, dst.rows, dst.cols))
 	}
+	last := b.rows - 1
 	for i := 0; i < c.rows; i++ {
+		lo, hi := c.rowPtr[i], c.rowPtr[i+1]
+		cols := c.colIdx[lo:hi]
+		vals := c.vals[lo:hi][:len(cols)]
 		oi := dst.data[i*dst.cols : (i+1)*dst.cols]
-		clear(oi)
-		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
-			k := c.colIdx[p]
-			v := c.vals[p]
-			for j := range oi {
-				oi[j] += v * b.data[j*b.cols+k]
+		for t0 := 0; t0 <= last; t0 += 4 {
+			t1, t2, t3 := min(t0+1, last), min(t0+2, last), min(t0+3, last)
+			b0 := b.data[t0*b.cols : (t0+1)*b.cols]
+			b1 := b.data[t1*b.cols : (t1+1)*b.cols]
+			b2 := b.data[t2*b.cols : (t2+1)*b.cols]
+			b3 := b.data[t3*b.cols : (t3+1)*b.cols]
+			var s0, s1, s2, s3 float64
+			for q, j := range cols {
+				v := vals[q]
+				s0 += v * b0[j]
+				s1 += v * b1[j]
+				s2 += v * b2[j]
+				s3 += v * b3[j]
 			}
+			oi[t0], oi[t1], oi[t2], oi[t3] = s0, s1, s2, s3
 		}
 	}
+}
+
+// InnerMulBtAInto walks the non-zeros of A once and returns the inner
+// product ⟨A, W·H⟩ = Σ a_ij · (W_i · H_:j) while writing WᵀA into wtA
+// (W.cols × A.cols), overwriting it — the residual of one NNMF iterate
+// and the WᵀA product the next H update needs, which share W. W must be
+// A.rows×k, H k×A.cols, and dots a scratch slice of exactly NNZ
+// entries; wtA must not alias w.
+//
+// For each row, the types are taken two at a time outside the loop over
+// the row's non-zeros, so the inner loop is the row's non-zeros. Every
+// scalar still sums the same terms in the same order as the per-entry
+// definition: dots[p] accumulates W_i·H_:j in type order, the inner
+// product adds a_ij·dots[p] in non-zero order once the row is done, and
+// each WᵀA entry adds a_ij·w_it over rows in ascending order.
+func (c *CSR) InnerMulBtAInto(wtA *Dense, dots []float64, w, h *Dense) float64 {
+	k := w.cols
+	if w.rows != c.rows || h.cols != c.cols || h.rows != k ||
+		wtA.rows != k || wtA.cols != c.cols || len(dots) != len(c.vals) {
+		panic(fmt.Sprintf("matrix: InnerMulBtAInto shape mismatch A %dx%d (nnz %d), W %dx%d, H %dx%d into %dx%d (dots %d)",
+			c.rows, c.cols, len(c.vals), w.rows, w.cols, h.rows, h.cols, wtA.rows, wtA.cols, len(dots)))
+	}
+	clear(wtA.data)
+	clear(dots)
+	s := 0.0
+	for i := 0; i < c.rows; i++ {
+		lo, hi := c.rowPtr[i], c.rowPtr[i+1]
+		cols := c.colIdx[lo:hi]
+		vals := c.vals[lo:hi][:len(cols)]
+		di := dots[lo:hi][:len(cols)]
+		wi := w.data[i*k : (i+1)*k]
+		t := 0
+		for ; t+1 < k; t += 2 {
+			w0, w1 := wi[t], wi[t+1]
+			h0 := h.data[t*h.cols : (t+1)*h.cols]
+			h1 := h.data[(t+1)*h.cols : (t+2)*h.cols]
+			a0 := wtA.data[t*wtA.cols : (t+1)*wtA.cols]
+			a1 := wtA.data[(t+1)*wtA.cols : (t+2)*wtA.cols]
+			for q, j := range cols {
+				v := vals[q]
+				di[q] = di[q] + w0*h0[j] + w1*h1[j]
+				a0[j] += v * w0
+				a1[j] += v * w1
+			}
+		}
+		if t < k {
+			wt := wi[t]
+			ht := h.data[t*h.cols : (t+1)*h.cols]
+			at := wtA.data[t*wtA.cols : (t+1)*wtA.cols]
+			for q, j := range cols {
+				di[q] += wt * ht[j]
+				at[j] += vals[q] * wt
+			}
+		}
+		for q, v := range vals {
+			s += v * di[q]
+		}
+	}
+	return s
 }
 
 // FrobeniusNorm returns the Frobenius norm of the stored entries.
@@ -122,29 +160,6 @@ func (c *CSR) FrobeniusNorm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// InnerWithProduct returns ⟨A, W·H⟩ = Σ over the non-zeros of A of
-// a_ij · (W_i · H_:j), without forming W·H. W must be rows×k and H k×cols.
-func (c *CSR) InnerWithProduct(w, h *Dense) float64 {
-	if w.Rows() != c.rows || h.Cols() != c.cols || w.Cols() != h.Rows() {
-		panic(fmt.Sprintf("matrix: InnerWithProduct shape mismatch A %dx%d, W %dx%d, H %dx%d",
-			c.rows, c.cols, w.Rows(), w.Cols(), h.Rows(), h.Cols()))
-	}
-	k := w.Cols()
-	s := 0.0
-	for i := 0; i < c.rows; i++ {
-		wi := w.RowView(i)
-		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
-			j := c.colIdx[p]
-			dot := 0.0
-			for t := 0; t < k; t++ {
-				dot += wi[t] * h.data[t*h.cols+j]
-			}
-			s += c.vals[p] * dot
-		}
-	}
-	return s
 }
 
 // AnyNegative reports whether any stored entry is negative.

@@ -64,24 +64,19 @@ func TestCSRAnyNegative(t *testing.T) {
 	}
 }
 
-func TestCSRMulMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randomSparse01(11, 23, 0.2, 5)
-	c := FromDense(a)
-	b := Random(23, 6, rng)
-	if !c.Mul(b).EqualTol(a.Mul(b), 1e-10) {
-		t.Fatal("CSR Mul differs from dense")
-	}
-}
-
-// csrMulBtA and csrMulABt wrap the destination-passing CSR kernels in
-// fresh, garbage-filled destinations, so the comparisons below also
-// prove the kernels overwrite rather than accumulate into dst.
-func csrMulBtA(c *CSR, b *Dense) *Dense {
-	dst := New(b.Cols(), c.cols)
+// csrInnerMulBtA and csrMulABt wrap the destination-passing CSR
+// kernels in fresh, garbage-filled destinations and scratch, so the
+// comparisons below also prove the kernels overwrite rather than
+// accumulate into them.
+func csrInnerMulBtA(c *CSR, w, h *Dense) (float64, *Dense) {
+	dst := New(w.Cols(), c.cols)
 	dst.data[0] = 99
-	c.MulBtAInto(dst, b)
-	return dst
+	dots := make([]float64, c.NNZ())
+	for p := range dots {
+		dots[p] = 7
+	}
+	dot := c.InnerMulBtAInto(dst, dots, w, h)
+	return dot, dst
 }
 
 func csrMulABt(c *CSR, b *Dense) *Dense {
@@ -96,10 +91,24 @@ func TestCSRMulBtAMatchesDense(t *testing.T) {
 	a := randomSparse01(11, 23, 0.2, 7)
 	c := FromDense(a)
 	w := Random(11, 4, rng)
-	// Bit-identical to the transpose of the dense AᵀW: each entry sums
-	// the same products in the same row order.
-	if !csrMulBtA(c, w).Equal(a.MulAtB(w).T()) {
-		t.Fatal("CSR MulBtAInto differs from dense (AᵀW)ᵀ")
+	h := Random(4, 23, rng)
+	_, wtA := csrInnerMulBtA(c, w, h)
+	// WᵀA is bit-identical to the transpose of the dense AᵀW: each entry
+	// sums the same products in the same row order.
+	if !wtA.Equal(a.MulAtB(w).T()) {
+		t.Fatal("CSR InnerMulBtAInto's WᵀA differs from dense (AᵀW)ᵀ")
+	}
+}
+
+func TestCSRInnerWithProductMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	a := randomSparse01(10, 15, 0.25, 11)
+	c := FromDense(a)
+	w := Random(10, 3, rng)
+	h := Random(3, 15, rng)
+	dot, _ := csrInnerMulBtA(c, w, h)
+	if want := a.MulElem(w.Mul(h)).Sum(); !almostEqual(dot, want, 1e-9) {
+		t.Fatalf("CSR InnerMulBtAInto's ⟨A,WH⟩ = %v, want %v", dot, want)
 	}
 }
 
@@ -113,28 +122,17 @@ func TestCSRMulABtMatchesDense(t *testing.T) {
 	}
 }
 
-func TestCSRInnerWithProductMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randomSparse01(10, 15, 0.25, 11)
-	c := FromDense(a)
-	w := Random(10, 3, rng)
-	h := Random(3, 15, rng)
-	want := a.MulElem(w.Mul(h)).Sum()
-	got := c.InnerWithProduct(w, h)
-	if !almostEqual(got, want, 1e-9) {
-		t.Fatalf("InnerWithProduct = %v, want %v", got, want)
-	}
-}
-
 func TestCSRShapePanics(t *testing.T) {
 	a := FromDense(randomSparse01(3, 4, 0.5, 12))
+	dots := make([]float64, a.NNZ())
 	for name, f := range map[string]func(){
-		"Mul":              func() { a.Mul(New(3, 2)) },
-		"MulBtAInto":       func() { a.MulBtAInto(New(2, 4), New(4, 2)) },
-		"MulBtAInto dst":   func() { a.MulBtAInto(New(2, 3), New(3, 2)) },
-		"MulABtInto":       func() { a.MulABtInto(New(3, 2), New(2, 3)) },
-		"MulABtInto dst":   func() { a.MulABtInto(New(2, 2), New(2, 4)) },
-		"InnerWithProduct": func() { a.InnerWithProduct(New(3, 2), New(3, 4)) },
+		"MulABtInto":             func() { a.MulABtInto(New(3, 2), New(2, 3)) },
+		"MulABtInto dst":         func() { a.MulABtInto(New(2, 2), New(2, 4)) },
+		"InnerMulBtAInto W":      func() { a.InnerMulBtAInto(New(2, 4), dots, New(4, 2), New(2, 4)) },
+		"InnerMulBtAInto H":      func() { a.InnerMulBtAInto(New(2, 4), dots, New(3, 2), New(3, 4)) },
+		"InnerMulBtAInto H cols": func() { a.InnerMulBtAInto(New(2, 4), dots, New(3, 2), New(2, 3)) },
+		"InnerMulBtAInto dst":    func() { a.InnerMulBtAInto(New(2, 3), dots, New(3, 2), New(2, 4)) },
+		"InnerMulBtAInto dots":   func() { a.InnerMulBtAInto(New(2, 4), dots[1:], New(3, 2), New(2, 4)) },
 	} {
 		func() {
 			defer func() {
@@ -158,9 +156,10 @@ func TestPropCSREquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 1))
 		w := Random(rows, k, rng)
 		h := Random(k, cols, rng)
-		return csrMulBtA(c, w).EqualTol(a.MulAtB(w).T(), 1e-9) &&
+		dot, wtA := csrInnerMulBtA(c, w, h)
+		return wtA.EqualTol(a.MulAtB(w).T(), 1e-9) &&
 			csrMulABt(c, h).EqualTol(a.MulABt(h), 1e-9) &&
-			almostEqual(c.InnerWithProduct(w, h), a.MulElem(w.Mul(h)).Sum(), 1e-8)
+			almostEqual(dot, a.MulElem(w.Mul(h)).Sum(), 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -28,6 +28,12 @@ import (
 //
 // One workspace of scratch products is allocated per call and reused by
 // every restart and iteration; the iteration loop allocates nothing.
+// Each iteration walks the non-zeros of a twice: once for AHᵀ, and once
+// for the residual, which in the same pass writes the WᵀA the next
+// step's H update reads (the residual scores exactly the W that step
+// starts from). The kernels loop over a row's non-zeros innermost and
+// keep every output scalar's summation order, so those choices are
+// invisible in the bits that csr_golden.txt locks.
 //
 // Only the Frobenius multiplicative algorithm is implemented sparsely;
 // Options.Algorithm is ignored.
@@ -61,7 +67,7 @@ func FactorizeCSRCtx(ctx context.Context, a *matrix.CSR, opts Options) (*Result,
 		if err != nil {
 			return nil, err
 		}
-		ws.begin(w, h)
+		ws.begin(h) // runWarm scores the seeds before its first step
 		return runWarm(ctx, opts, exact, w, h, ws.step, ws.residual)
 	}
 
@@ -81,7 +87,10 @@ func FactorizeCSRCtx(ctx context.Context, a *matrix.CSR, opts Options) (*Result,
 		// Each restart owns its freshly initialized factors and updates
 		// them in place; only the scratch products are shared, so the
 		// best result never aliases the workspace.
-		ws.begin(w, h)
+		ws.begin(h)
+		// iterate's first call is step, which reads the WᵀW and WᵀA that
+		// a residual of the starting point leaves.
+		ws.residual(w, h)
 		res, err := iterate(ctx, opts, w, h, ws.step, ws.residual)
 		if err != nil {
 			return nil, err
@@ -113,11 +122,15 @@ func randomInit(rows, cols, k int, mean float64, seed int64) (*matrix.Dense, *ma
 type csrWorkspace struct {
 	a          *matrix.CSR
 	normA, eps float64
-	wtA, wtWH  *matrix.Dense // k × cols
-	aHt, wHHt  *matrix.Dense // rows × k
+	// wtA is WᵀA of the current W: the residual that scores W leaves it
+	// for the next step, which starts from that same W.
+	wtA, wtWH *matrix.Dense // k × cols
+	aHt, wHHt *matrix.Dense // rows × k
 	// wtw is WᵀW of the current W and hht is HHᵀ of the current H; the
 	// residual's WᵀW doubles as the next step's.
 	wtw, hht *matrix.Dense // k × k
+	// dots holds W_i·H_:j for every non-zero a_ij during the residual.
+	dots []float64
 }
 
 func newCSRWorkspace(a *matrix.CSR, k int, normA, eps float64) *csrWorkspace {
@@ -127,14 +140,13 @@ func newCSRWorkspace(a *matrix.CSR, k int, normA, eps float64) *csrWorkspace {
 		wtA: matrix.New(k, cols), wtWH: matrix.New(k, cols),
 		aHt: matrix.New(rows, k), wHHt: matrix.New(rows, k),
 		wtw: matrix.New(k, k), hht: matrix.New(k, k),
+		dots: make([]float64, a.NNZ()),
 	}
 }
 
-// begin primes the Gram matrices for a run starting from (w, h).
-func (ws *csrWorkspace) begin(w, h *matrix.Dense) {
-	w.MulAtBInto(ws.wtw, w)
-	h.MulABtInto(ws.hht, h)
-}
+// begin primes HHᵀ of a run's starting h, which its first residual
+// reads.
+func (ws *csrWorkspace) begin(h *matrix.Dense) { h.MulABtInto(ws.hht, h) }
 
 // step applies stepFrobenius's update round to w and h in place, with
 // the two A-products computed through the CSR structure:
@@ -142,10 +154,10 @@ func (ws *csrWorkspace) begin(w, h *matrix.Dense) {
 //	H ← H ⊙ (WᵀA) ⊘ (WᵀWH)
 //	W ← W ⊙ (AHᵀ) ⊘ (WHHᵀ)
 //
-// It reads WᵀW of the incoming w from the workspace and leaves HHᵀ of
-// the updated h there for residual.
+// It reads WᵀW and WᵀA of the incoming w from the workspace — left there
+// by the residual that scored w — and leaves HHᵀ of the
+// updated h there for the next residual.
 func (ws *csrWorkspace) step(w, h *matrix.Dense) (*matrix.Dense, *matrix.Dense) {
-	ws.a.MulBtAInto(ws.wtA, w)
 	ws.wtw.MulInto(ws.wtWH, h)
 	multiplicativeUpdate(h, ws.wtA, ws.wtWH, ws.eps)
 
@@ -158,11 +170,12 @@ func (ws *csrWorkspace) step(w, h *matrix.Dense) (*matrix.Dense, *matrix.Dense) 
 
 // residual computes ‖A − WH‖_F / ‖A‖_F without materializing WH:
 // ‖A−WH‖² = ‖A‖² − 2·⟨A, WH⟩ + tr((WᵀW)(HHᵀ)). The inner product
-// touches only the non-zeros of A; the trace term is k×k, from the
-// workspace's HHᵀ (set by begin or step for this h) and a freshly
-// computed WᵀW of w, which the next step reuses.
+// touches only the non-zeros of A, in the same pass that writes WᵀA of
+// w for the next step; the trace term is k×k, from the workspace's HHᵀ
+// (set by begin or step for this h) and a freshly computed WᵀW of w,
+// which the next step also reuses.
 func (ws *csrWorkspace) residual(w, h *matrix.Dense) float64 {
-	dot := ws.a.InnerWithProduct(w, h)
+	dot := ws.a.InnerMulBtAInto(ws.wtA, ws.dots, w, h)
 	w.MulAtBInto(ws.wtw, w)
 	trace := 0.0
 	for i := 0; i < ws.wtw.Rows(); i++ {
@@ -181,7 +194,8 @@ func (ws *csrWorkspace) residual(w, h *matrix.Dense) float64 {
 // multiplicativeUpdate applies f ← f ⊙ num ⊘ (den + eps) in place.
 func multiplicativeUpdate(f, num, den *matrix.Dense, eps float64) {
 	for i := 0; i < f.Rows(); i++ {
-		fi, ni, di := f.RowView(i), num.RowView(i), den.RowView(i)
+		fi := f.RowView(i)
+		ni, di := num.RowView(i)[:len(fi)], den.RowView(i)[:len(fi)]
 		for j := range fi {
 			fi[j] *= ni[j] / (di[j] + eps)
 		}

@@ -99,7 +99,7 @@ func TestSparseResidualIdentity(t *testing.T) {
 	normA := a.FrobeniusNorm()
 	direct := RelativeError(a, w, h, normA)
 	ws := newCSRWorkspace(c, 3, normA, 1e-12)
-	ws.begin(w, h)
+	ws.begin(h)
 	viaIdentity := ws.residual(w, h)
 	if math.Abs(direct-viaIdentity) > 1e-9 {
 		t.Fatalf("residual identity broken: %v vs %v", direct, viaIdentity)

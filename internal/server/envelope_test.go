@@ -127,7 +127,7 @@ func TestAnalysisBodiesMatchColdEncode(t *testing.T) {
 			serve(name, "stale", "stale")
 		}
 		inj.SetRules()
-		s.Engine().WaitRefreshes()
+		s.Engine().WaitDetached()
 
 		// Refill the fresh entries, then migrate them with a PATCH that
 		// touches none of them.

@@ -325,11 +325,11 @@ func (s *Server) spawnBackground(fn func(ctx context.Context)) {
 
 // DrainBackground blocks until all tracked background work (startup and
 // ingest-triggered warmups, and the executor's detached stale
-// refreshes) has finished. cmd/serve calls it after the HTTP listener
-// has shut down.
+// refreshes and abandoned-flight checks) has finished. cmd/serve calls
+// it after the HTTP listener has shut down.
 func (s *Server) DrainBackground() {
 	s.bg.Wait()
-	s.exec.WaitRefreshes()
+	s.exec.WaitDetached()
 }
 
 // Cache exposes the result cache (for benchmarks and tests).

@@ -339,6 +339,12 @@ func (c *Cache) DoCtxFn(ctx context.Context, key string, compute func(context.Co
 	return v.(Entry), sharedFlight, nil
 }
 
+// Flight returns a channel that is closed when the computation in
+// flight for key ends — after its result, if any, is stored — or nil
+// when none is running. It lets a caller that left a flight early act
+// once the flight can no longer write to the cache.
+func (c *Cache) Flight(key string) <-chan struct{} { return c.group.inFlight(key) }
+
 // DroppedEntry is one entry removed by a Rekey sweep, returned to the
 // caller because it is no longer reachable through the cache — the
 // delta-refresh path reuses dropped values as warm-start priors.

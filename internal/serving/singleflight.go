@@ -154,6 +154,17 @@ func (g *Group) leave(c *call) {
 	}
 }
 
+// inFlight returns the done channel of key's in-flight call, closed
+// once fn has returned, or nil when no call for key is in flight.
+func (g *Group) inFlight(key string) <-chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.m[key]; ok {
+		return c.done
+	}
+	return nil
+}
+
 // waiting reports how many callers are blocked on the key's in-flight
 // call (0 when no call is in flight). Used by tests to build
 // deterministic concurrency scenarios.
